@@ -17,9 +17,22 @@
 // serialization through a global lock (threads) or the controller pipe
 // (processes).
 //
+// It also records the fixed per-trial cost a campaign pays around each
+// probe: testbed build and teardown with observability and provenance
+// off (how every E2 trial runs) and with both on, next to one run_probe
+// on the same testbed (the mean over the eight E2 techniques).
+// tools/perf_smoke.py gates two contrasts on them: building with both
+// layers on costs at most 2x building with them off (their rings
+// allocate on demand), and a disabled build+teardown costs no more than
+// the probe it hosts.
+//
 // Exit code: 0 only if every run produced identical bytes.
+#include <time.h>
+
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -47,31 +60,94 @@ struct Timed {
   double seconds = 0.0;
   double trials_per_sec = 0.0;
   std::string jsonl;
+  bool repeatable = true;  // every rep produced the same bytes
 };
 
+/// Best of kReps runs. A 40-trial campaign takes ~10 ms, short enough
+/// that one scheduler hiccup would set a single run's figure (and the
+/// -jN/-j1 ratios amplify it). Every rep must produce the same bytes.
 Timed time_run(const std::vector<campaign::Trial>& trials, size_t threads,
                campaign::Shard shard,
                campaign::Backend backend = campaign::Backend::Thread) {
+  constexpr int kReps = 5;
   campaign::CampaignOptions options;
   options.threads = threads;
   options.shard = shard;
   options.backend = backend;
-  auto start = std::chrono::steady_clock::now();
-  campaign::CampaignResult result = campaign::run(trials, options);
-  std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - start;
   Timed out;
   out.threads = threads;
   out.shard = shard;
   out.backend = backend;
-  out.seconds = elapsed.count();
-  out.trials_per_sec = static_cast<double>(trials.size()) / elapsed.count();
-  out.jsonl = result.to_jsonl();
-  if (result.failures != 0) {
-    std::fprintf(stderr, "!!! %zu trial(s) failed at -j%zu\n",
-                 result.failures, threads);
+  for (int rep = 0; rep < kReps; ++rep) {
+    auto start = std::chrono::steady_clock::now();
+    campaign::CampaignResult result = campaign::run(trials, options);
+    std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - start;
+    std::string jsonl = result.to_jsonl();
+    if (rep == 0 || elapsed.count() < out.seconds) {
+      out.seconds = elapsed.count();
+    }
+    if (rep == 0) {
+      out.jsonl = std::move(jsonl);
+    } else if (jsonl != out.jsonl) {
+      out.repeatable = false;
+    }
+    if (result.failures != 0) {
+      std::fprintf(stderr, "!!! %zu trial(s) failed at -j%zu\n",
+                   result.failures, threads);
+    }
   }
+  out.trials_per_sec = static_cast<double>(trials.size()) / out.seconds;
   return out;
+}
+
+int64_t thread_cpu_ns() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
+}
+
+struct FixedCost {
+  double build_ns = 0;
+  double teardown_ns = 0;
+  double run_probe_ns = 0;
+};
+
+/// Thread CPU ns per testbed build, teardown and run_probe, averaged
+/// over the eight E2 techniques (so "one run_probe" is the mean E2
+/// probe): the best mean of several batches, so one descheduled stretch
+/// does not set the figure.
+FixedCost fixed_cost(const core::TestbedConfig& config) {
+  const std::vector<bench::NamedFactory> techniques =
+      bench::standard_techniques();
+  constexpr int kBatches = 7, kRounds = 5;
+  const int iters = kRounds * static_cast<int>(techniques.size());
+  FixedCost best{1e18, 1e18, 1e18};
+  for (int b = 0; b < kBatches; ++b) {
+    int64_t build = 0, teardown = 0, probe = 0;
+    for (int i = 0; i < iters; ++i) {
+      const bench::ProbeFactory& factory =
+          techniques[static_cast<size_t>(i) % techniques.size()].factory;
+      const int64_t t0 = thread_cpu_ns();
+      auto tb = std::make_unique<core::Testbed>(config);
+      const int64_t t1 = thread_cpu_ns();
+      auto p = factory(*tb);
+      const int64_t t2 = thread_cpu_ns();
+      core::run_probe(*tb, *p);
+      const int64_t t3 = thread_cpu_ns();
+      p.reset();
+      const int64_t t4 = thread_cpu_ns();
+      tb.reset();
+      const int64_t t5 = thread_cpu_ns();
+      build += t1 - t0;
+      probe += t3 - t2;
+      teardown += t5 - t4;
+    }
+    best.build_ns = std::min(best.build_ns, double(build) / iters);
+    best.teardown_ns = std::min(best.teardown_ns, double(teardown) / iters);
+    best.run_probe_ns = std::min(best.run_probe_ns, double(probe) / iters);
+  }
+  return best;
 }
 
 }  // namespace
@@ -114,7 +190,7 @@ int main(int argc, char** argv) {
 
   bool deterministic = true;
   for (const Timed& r : runs) {
-    if (r.jsonl != runs.front().jsonl) deterministic = false;
+    if (r.jsonl != runs.front().jsonl || !r.repeatable) deterministic = false;
   }
   double base = runs[0].trials_per_sec;
   // A speedup figure is only meaningful when the machine can actually
@@ -160,6 +236,18 @@ int main(int argc, char** argv) {
                   hw);
     }
   }
+  core::TestbedConfig on;
+  on.enable_observability = true;
+  on.enable_provenance = true;
+  const FixedCost cost_off = fixed_cost(core::TestbedConfig{});
+  const FixedCost cost_on = fixed_cost(on);
+  std::printf("testbed fixed cost (thread CPU, obs+prov off / on):\n"
+              "  build     %9.0f ns / %9.0f ns\n"
+              "  teardown  %9.0f ns / %9.0f ns\n"
+              "  run_probe %9.0f ns (mean E2 technique, off)\n",
+              cost_off.build_ns, cost_on.build_ns, cost_off.teardown_ns,
+              cost_on.teardown_ns, cost_off.run_probe_ns);
+
   std::printf("deterministic (byte-identical reports across -j, shard "
               "modes, and backends): %s\n",
               deterministic ? "PASS" : "FAIL");
@@ -169,9 +257,14 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "{\"bench\":\"campaign_scaling\",\"trials\":%zu,"
                  "\"hw_concurrency\":%zu,\"deterministic\":%s,"
-                 "%s\"speedup_skipped\":[%s],\"runs\":[",
+                 "%s\"speedup_skipped\":[%s],\"fixed_cost\":{"
+                 "\"build_off_ns\":%.0f,\"teardown_off_ns\":%.0f,"
+                 "\"build_on_ns\":%.0f,\"teardown_on_ns\":%.0f,"
+                 "\"run_probe_ns\":%.0f},\"runs\":[",
                  trials.size(), hw, deterministic ? "true" : "false",
-                 speedup_fields.c_str(), skipped_notes.c_str());
+                 speedup_fields.c_str(), skipped_notes.c_str(),
+                 cost_off.build_ns, cost_off.teardown_ns, cost_on.build_ns,
+                 cost_on.teardown_ns, cost_off.run_probe_ns);
     for (size_t i = 0; i < runs.size(); ++i) {
       std::fprintf(f,
                    "%s{\"threads\":%zu,\"hw_concurrency\":%zu,"

@@ -28,7 +28,11 @@
 #      mid-checkpoint-write faults) and requires the resumed output to
 #      be byte-identical to an uninterrupted run;
 #   7. tier-1 verify: the plain default build + ctest, exactly the
-#      commands ROADMAP.md promises stay green.
+#      commands ROADMAP.md promises stay green;
+#   8. bench: the repo benchmark (perfbench/run.py) once per workload
+#      for 2 s, plus one traced e2_campaign run — perfbench exits
+#      non-zero when its correctness checks fail (digest drift, a failed
+#      trial, a traced replay that disagrees, an unoptimized build).
 #
 #   ./ci.sh            # all stages
 #   ./ci.sh sanitize   # stage 1 only
@@ -38,6 +42,7 @@
 #   ./ci.sh perf       # stage 5 only
 #   ./ci.sh resume     # stage 6 only
 #   ./ci.sh tier1      # stage 7 only
+#   ./ci.sh bench      # stage 8 only
 #   ./ci.sh obs        # observability-labeled tests only (fast focus
 #                      # loop for metrics/trace/provenance work)
 set -euo pipefail
@@ -209,6 +214,22 @@ if [ "$STAGE" = "all" ] || [ "$STAGE" = "tier1" ]; then
   cmake --build "$ROOT/build" -j
   ctest --test-dir "$ROOT/build" --output-on-failure -j "$(nproc)" \
         --schedule-random
+fi
+
+if [ "$STAGE" = "all" ] || [ "$STAGE" = "bench" ]; then
+  echo "=== stage 8: repo benchmark smoke (perfbench, correctness gate) ==="
+  # run.py builds its own Release tree under $CARGO_TARGET_DIR (default
+  # .bench_build, relative to the working directory) and prints timing
+  # figures; only its exit status is judged here.
+  (
+    cd "$ROOT"
+    for workload in e2_campaign simcheck population; do
+      python3 perfbench/run.py --workload "$workload" --seed 1 \
+              --seconds 2 --trace 0
+    done
+    python3 perfbench/run.py --workload e2_campaign --seed 1 \
+            --seconds 2 --trace 1
+  )
 fi
 
 if [ "$STAGE" = "obs" ]; then

@@ -292,7 +292,7 @@ TapDecision CensorTap::inspect(const TapContext& ctx,
                             ? std::string()
                             : "sid=" + std::to_string(verdict.alerts[0].sid);
       prov->record(obs::ProvKind::CensorAction, ctx.now, ctx.prov, ctx.prov,
-                   "inline-drop", std::move(sid));
+                   "inline-drop", sid);
     }
     return TapDecision::Drop;
   }

@@ -108,7 +108,7 @@ void DdosProbe::fetch_sample(common::Ipv4Address address, size_t index) {
 void DdosProbe::on_sample(size_t index, Verdict v) {
   samples_[index] = v;
   ++completed_;
-  prov_.evidence(tb_.net.engine().now(), std::string(to_string(v)),
+  prov_.evidence(tb_.net.engine().now(), to_string(v),
                  "request=" + std::to_string(index));
   if (completed_ >= options_.requests) finalize();
 }

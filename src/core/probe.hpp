@@ -59,18 +59,18 @@ class ProbeProvenance {
                               "attempt", std::to_string(number));
     return attempt_;
   }
-  uint64_t evidence(common::SimTime now, std::string what,
-                    std::string detail = "") {
+  uint64_t evidence(common::SimTime now, std::string_view what,
+                    std::string_view detail = {}) {
     if (graph_ == nullptr) return 0;
     uint64_t id = graph_->record(obs::ProvKind::Evidence, now, attempt_, 0,
-                                 std::move(what), std::move(detail));
+                                 what, detail);
     evidence_.push_back(id);
     return id;
   }
   void verdict(common::SimTime now, const ProbeReport& report) {
     if (graph_ == nullptr) return;
     graph_->record_verdict(
-        now, start_, std::string(to_string(report.verdict)),
+        now, start_, to_string(report.verdict),
         std::string(to_string(report.confidence.conclusion)) +
             (report.confidence.confirmed() ? " confirmed" : ""),
         evidence_);

@@ -76,7 +76,8 @@ struct TestbedConfig {
   /// changes no verdict, alert count, or event ordering — only what gets
   /// recorded about them.
   bool enable_observability = false;
-  /// Flight-recorder ring capacity for the tracer (records kept).
+  /// Bound on the tracer's flight-recorder ring (records kept). Storage
+  /// grows on demand, so nothing is allocated while observability is off.
   size_t trace_capacity = 1 << 16;
   /// Bound on the packet-capture tap (0 = unbounded; see
   /// TraceTap::set_max_records).
@@ -87,7 +88,8 @@ struct TestbedConfig {
   /// their causing packets either way); like it, enabling changes no
   /// verdict or event ordering — only what gets recorded.
   bool enable_provenance = false;
-  /// Drop-oldest ring capacity for the provenance graph (events kept).
+  /// Bound on the provenance graph's drop-oldest ring (events kept).
+  /// Storage grows on demand, so nothing is allocated while it is off.
   size_t provenance_capacity = 1 << 16;
 };
 

@@ -1,17 +1,21 @@
 #include "obs/provenance.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <type_traits>
 
 #include "common/strings.hpp"
 
 namespace sm::obs {
 
+static_assert(std::is_trivially_copyable_v<ProvRecord> &&
+                  sizeof(ProvRecord) == 64,
+              "a stored provenance event is one 64-byte POD");
+
 namespace {
 
-// Shared JSON string escaping (subset used by the metrics exporter).
-std::string escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
+/// Appends `s` JSON-escaped (the subset the metrics exporter escapes).
+void append_escaped(std::string& out, std::string_view s) {
   for (char c : s) {
     switch (c) {
       case '\\': out += "\\\\"; break;
@@ -20,7 +24,75 @@ std::string escape(std::string_view s) {
       default: out += c;
     }
   }
-  return out;
+}
+
+template <typename Int>
+void append_int(std::string& out, Int v) {
+  char buf[24];
+  auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
+  (void)ec;
+  out.append(buf, end);
+}
+
+void append_ipv4(std::string& out, uint32_t addr) {
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    append_int(out, (addr >> shift) & 0xff);
+    if (shift) out += '.';
+  }
+}
+
+uint32_t load_be32(const uint8_t* p) {
+  return uint32_t{p[0]} << 24 | uint32_t{p[1]} << 16 | uint32_t{p[2]} << 8 |
+         uint32_t{p[3]};
+}
+
+/// Captures in `rec` exactly the header fields summarize_wire() prints.
+void capture_wire(ProvRecord& rec, const uint8_t* data, size_t len) {
+  if (data == nullptr || len < 20 || (data[0] >> 4) != 4) {
+    rec.text = ProvText::Raw;
+    return;
+  }
+  const size_t ihl = static_cast<size_t>(data[0] & 0x0f) * 4;
+  rec.text = ProvText::V4;
+  rec.proto = data[9];
+  rec.src = load_be32(data + 12);
+  rec.dst = load_be32(data + 16);
+  if ((rec.proto == 6 || rec.proto == 17) && len >= ihl + 4) {
+    rec.text = ProvText::V4Ports;
+    rec.sport = static_cast<uint16_t>(data[ihl] << 8 | data[ihl + 1]);
+    rec.dport = static_cast<uint16_t>(data[ihl + 2] << 8 | data[ihl + 3]);
+  }
+}
+
+/// Renders a wire-form record: "tcp 10.0.0.1:1234>10.0.0.2:80",
+/// "icmp 10.0.0.1>10.0.0.2", "proto=47 10.0.0.1>10.0.0.2" or "raw".
+void append_wire(std::string& out, const ProvRecord& rec) {
+  if (rec.text == ProvText::Raw) {
+    out += "raw";
+    return;
+  }
+  const char* name = rec.proto == 6    ? "tcp"
+                     : rec.proto == 17 ? "udp"
+                     : rec.proto == 1  ? "icmp"
+                                       : nullptr;
+  if (name != nullptr) {
+    out += name;
+  } else {
+    out += "proto=";
+    append_int(out, rec.proto);
+  }
+  out += ' ';
+  append_ipv4(out, rec.src);
+  if (rec.text == ProvText::V4Ports) {
+    out += ':';
+    append_int(out, rec.sport);
+  }
+  out += '>';
+  append_ipv4(out, rec.dst);
+  if (rec.text == ProvText::V4Ports) {
+    out += ':';
+    append_int(out, rec.dport);
+  }
 }
 
 struct KindName {
@@ -45,10 +117,6 @@ constexpr KindName kKindNames[] = {
     {ProvKind::Verdict, "verdict"},
 };
 
-std::string ipv4(const uint8_t* p) {
-  return common::format("%u.%u.%u.%u", p[0], p[1], p[2], p[3]);
-}
-
 }  // namespace
 
 std::string_view to_string(ProvKind kind) {
@@ -66,135 +134,198 @@ std::optional<ProvKind> prov_kind_from_string(std::string_view s) {
 }
 
 std::string summarize_wire(const uint8_t* data, size_t len) {
-  if (data == nullptr || len < 20 || (data[0] >> 4) != 4) return "raw";
-  const size_t ihl = static_cast<size_t>(data[0] & 0x0f) * 4;
-  const uint8_t proto = data[9];
-  std::string src = ipv4(data + 12), dst = ipv4(data + 16);
-  const char* name = proto == 6    ? "tcp"
-                     : proto == 17 ? "udp"
-                     : proto == 1  ? "icmp"
-                                   : nullptr;
-  if ((proto == 6 || proto == 17) && len >= ihl + 4) {
-    const uint16_t sport =
-        static_cast<uint16_t>(data[ihl] << 8 | data[ihl + 1]);
-    const uint16_t dport =
-        static_cast<uint16_t>(data[ihl + 2] << 8 | data[ihl + 3]);
-    return common::format("%s %s:%u>%s:%u", name, src.c_str(), sport,
-                          dst.c_str(), dport);
-  }
-  if (name != nullptr) return common::format("%s %s>%s", name, src.c_str(),
-                                             dst.c_str());
-  return common::format("proto=%u %s>%s", proto, src.c_str(), dst.c_str());
+  ProvRecord rec;
+  capture_wire(rec, data, len);
+  std::string out;
+  append_wire(out, rec);
+  return out;
 }
 
-ProvenanceGraph::ProvenanceGraph(size_t capacity)
-    : ring_(std::max<size_t>(1, capacity)) {}
+ProvenanceGraph::ProvenanceGraph(size_t capacity) : ring_(capacity) {}
 
 void ProvenanceGraph::set_capacity(size_t capacity) {
-  std::vector<ProvEvent> kept = events();  // oldest first
-  ring_.assign(std::max<size_t>(1, capacity), ProvEvent{});
-  next_ = 0;
-  count_ = 0;
-  size_t start = 0;
-  if (kept.size() > ring_.size()) {
-    start = kept.size() - ring_.size();
-    dropped_ += start;
+  const size_t keep = std::min(ring_.size(), std::max<size_t>(1, capacity));
+  for (size_t i = 0; i + keep < ring_.size(); ++i) {
+    live_refs_ -= ring_[i].refs_len;
   }
-  for (size_t i = start; i < kept.size(); ++i) {
-    ring_[next_] = std::move(kept[i]);
-    next_ = (next_ + 1) % ring_.size();
-    ++count_;
-  }
+  dropped_ += ring_.set_capacity(capacity);
 }
 
-ProvEvent& ProvenanceGraph::push(ProvEvent ev) {
-  if (count_ == ring_.size()) ++dropped_;
-  ProvEvent& slot = ring_[next_];
-  slot = std::move(ev);
-  next_ = (next_ + 1) % ring_.size();
-  if (count_ < ring_.size()) ++count_;
-  return slot;
+void ProvenanceGraph::push(const ProvRecord& rec) {
+  if (ring_.full()) {
+    ++dropped_;
+    live_refs_ -= ring_.front().refs_len;
+  }
+  ring_.push(rec);
+}
+
+uint32_t ProvenanceGraph::intern(std::string_view s) {
+  if (s.empty()) return 0;
+  auto it = index_.find(s);
+  if (it != index_.end()) return it->second;
+  const uint8_t* bytes =
+      text_bytes_.copy(reinterpret_cast<const uint8_t*>(s.data()), s.size());
+  std::string_view stored(reinterpret_cast<const char*>(bytes), s.size());
+  strings_.push_back(stored);
+  const auto id = static_cast<uint32_t>(strings_.size());
+  index_.emplace(stored, id);
+  return id;
+}
+
+uint32_t ProvenanceGraph::store_refs(std::span<const uint64_t> refs) {
+  if (refs.empty()) return 0;
+  // Evicted verdicts leave their lists behind. Once that garbage
+  // outweighs everything retained, rebuild the pool from the live lists:
+  // the pool stays O(capacity) and each rebuild is paid for by the
+  // garbage it removes.
+  if (refs_.size() - live_refs_ > live_refs_ + ring_.size() + 1024) {
+    std::vector<uint64_t> kept;
+    kept.reserve(live_refs_ + refs.size());
+    for (size_t i = 0; i < ring_.size(); ++i) {
+      ProvRecord& rec = ring_[i];
+      if (rec.refs_len == 0) continue;
+      const uint64_t* from = refs_.data() + rec.refs_at;
+      rec.refs_at = static_cast<uint32_t>(kept.size());
+      kept.insert(kept.end(), from, from + rec.refs_len);
+    }
+    refs_.swap(kept);
+  }
+  const auto at = static_cast<uint32_t>(refs_.size());
+  refs_.insert(refs_.end(), refs.begin(), refs.end());
+  live_refs_ += refs.size();
+  return at;
 }
 
 uint64_t ProvenanceGraph::record(ProvKind kind, common::SimTime ts,
                                  uint64_t cause, uint64_t packet,
-                                 std::string what, std::string detail) {
+                                 std::string_view what,
+                                 std::string_view detail) {
   if (!enabled_) return 0;
-  ProvEvent ev;
-  ev.id = ++total_;
-  ev.cause = cause;
-  ev.packet = packet;
-  ev.ts = ts;
-  ev.kind = kind;
-  ev.what = std::move(what);
-  ev.detail = std::move(detail);
-  push(std::move(ev));
+  ProvRecord rec;
+  rec.id = ++total_;
+  rec.cause = cause;
+  rec.packet = packet;
+  rec.ts = ts;
+  rec.kind = kind;
+  rec.what = intern(what);
+  rec.detail = intern(detail);
+  push(rec);
   return total_;
 }
 
-uint64_t ProvenanceGraph::record_verdict(common::SimTime ts, uint64_t cause,
-                                         std::string what, std::string detail,
-                                         std::vector<uint64_t> evidence) {
+uint64_t ProvenanceGraph::record_verdict(
+    common::SimTime ts, uint64_t cause, std::string_view what,
+    std::string_view detail, const std::vector<uint64_t>& evidence) {
   if (!enabled_) return 0;
-  ProvEvent ev;
-  ev.id = ++total_;
-  ev.cause = cause;
-  ev.ts = ts;
-  ev.kind = ProvKind::Verdict;
-  ev.what = std::move(what);
-  ev.detail = std::move(detail);
-  ev.refs = std::move(evidence);
-  push(std::move(ev));
+  ProvRecord rec;
+  rec.id = ++total_;
+  rec.cause = cause;
+  rec.ts = ts;
+  rec.kind = ProvKind::Verdict;
+  rec.what = intern(what);
+  rec.detail = intern(detail);
+  rec.refs_at = store_refs(evidence);
+  rec.refs_len = static_cast<uint32_t>(evidence.size());
+  push(rec);
   return total_;
 }
 
 uint64_t ProvenanceGraph::record_packet(common::SimTime ts,
                                         const uint8_t* data, size_t len) {
   if (!enabled_) return 0;
-  return record(ProvKind::PacketSent, ts, current_cause_, 0,
-                summarize_wire(data, len));
+  ProvRecord rec;
+  rec.id = ++total_;
+  rec.cause = current_cause_;
+  rec.ts = ts;
+  rec.kind = ProvKind::PacketSent;
+  capture_wire(rec, data, len);
+  push(rec);
+  return total_;
 }
 
-void ProvenanceGraph::append_raw(ProvEvent ev) {
+void ProvenanceGraph::append_raw(const ProvEvent& ev) {
   if (ev.id == 0 || ev.id <= total_) return;  // ids must strictly increase
-  dropped_ += ev.id - total_ - 1;             // gaps were drops upstream
+  if (ev.id != total_ + 1) {
+    dropped_ += ev.id - total_ - 1;  // gaps were drops upstream
+    last_gap_ = ev.id;
+  }
   total_ = ev.id;
-  push(std::move(ev));
+  ProvRecord rec;
+  rec.id = ev.id;
+  rec.cause = ev.cause;
+  rec.packet = ev.packet;
+  rec.ts = ev.ts;
+  rec.kind = ev.kind;
+  rec.what = intern(ev.what);
+  rec.detail = intern(ev.detail);
+  rec.refs_at = store_refs(ev.refs);
+  rec.refs_len = static_cast<uint32_t>(ev.refs.size());
+  push(rec);
 }
 
 void ProvenanceGraph::clear() {
-  for (auto& ev : ring_) ev = ProvEvent{};
-  next_ = 0;
-  count_ = 0;
+  ring_.clear();
   total_ = 0;
   dropped_ = 0;
   current_cause_ = 0;
+  last_gap_ = 0;
+  text_bytes_.reset();
+  strings_.clear();
+  index_.clear();
+  refs_.clear();
+  live_refs_ = 0;
+}
+
+const ProvRecord* ProvenanceGraph::find(uint64_t id) const {
+  if (id == 0 || ring_.empty()) return nullptr;
+  const uint64_t oldest = ring_.front().id;
+  if (id < oldest || id > ring_.back().id) return nullptr;
+  // Dense ids (every recorded graph): position is arithmetic.
+  if (last_gap_ <= oldest) return &ring_[id - oldest];
+  // append_raw() skipped ids inside the window; ids still increase.
+  size_t lo = 0, hi = ring_.size();
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (ring_[mid].id < id) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return ring_[lo].id == id ? &ring_[lo] : nullptr;
+}
+
+std::string_view ProvenanceGraph::text(uint32_t id) const {
+  return id == 0 ? std::string_view() : strings_[id - 1];
+}
+
+std::string ProvenanceGraph::what(const ProvRecord& rec) const {
+  if (rec.text == ProvText::Interned) return std::string(text(rec.what));
+  std::string out;
+  append_wire(out, rec);
+  return out;
+}
+
+std::string_view ProvenanceGraph::detail(const ProvRecord& rec) const {
+  return text(rec.detail);
+}
+
+std::span<const uint64_t> ProvenanceGraph::refs(const ProvRecord& rec) const {
+  if (rec.refs_len == 0) return {};
+  return {refs_.data() + rec.refs_at, rec.refs_len};
 }
 
 std::vector<ProvEvent> ProvenanceGraph::events() const {
   std::vector<ProvEvent> out;
-  out.reserve(count_);
-  const size_t cap = ring_.size();
-  size_t start = (next_ + cap - count_) % cap;
-  for (size_t i = 0; i < count_; ++i) {
-    out.push_back(ring_[(start + i) % cap]);
+  out.reserve(ring_.size());
+  for (size_t i = 0; i < ring_.size(); ++i) {
+    const ProvRecord& rec = ring_[i];
+    const auto r = refs(rec);
+    out.push_back(ProvEvent{rec.id, rec.cause, rec.packet, rec.ts, rec.kind,
+                            what(rec), std::string(detail(rec)),
+                            std::vector<uint64_t>(r.begin(), r.end())});
   }
   return out;
-}
-
-const ProvEvent* ProvenanceGraph::find(uint64_t id) const {
-  if (id == 0 || id > total_) return nullptr;
-  const size_t cap = ring_.size();
-  size_t start = (next_ + cap - count_) % cap;
-  // Retained ids are a contiguous run ending at the newest event; scan
-  // backward from the newest (append_raw graphs may hold sparse ids, so
-  // position arithmetic alone is not enough).
-  for (size_t i = count_; i-- > 0;) {
-    const ProvEvent& ev = ring_[(start + i) % cap];
-    if (ev.id == id) return &ev;
-    if (ev.id < id) return nullptr;
-  }
-  return nullptr;
 }
 
 std::vector<uint64_t> ProvenanceGraph::chain(uint64_t id) const {
@@ -202,12 +333,12 @@ std::vector<uint64_t> ProvenanceGraph::chain(uint64_t id) const {
   uint64_t cur = id;
   // Causes always point backward (cause < id), so the walk terminates;
   // the guard is belt-and-braces against corrupt deserialized input.
-  while (cur != 0 && out.size() <= count_) {
-    const ProvEvent* ev = find(cur);
-    if (ev == nullptr) break;
+  while (cur != 0 && out.size() <= ring_.size()) {
+    const ProvRecord* rec = find(cur);
+    if (rec == nullptr) break;
     out.push_back(cur);
-    if (ev->cause >= cur) break;
-    cur = ev->cause;
+    if (rec->cause >= cur) break;
+    cur = rec->cause;
   }
   return out;
 }
@@ -218,39 +349,59 @@ uint64_t ProvenanceGraph::root_of(uint64_t id) const {
 }
 
 std::string ProvenanceGraph::to_json() const {
-  std::string out = "{\"events\":[";
-  bool first = true;
-  const size_t cap = ring_.size();
-  size_t start = (next_ + cap - count_) % cap;
-  for (size_t i = 0; i < count_; ++i) {
-    const ProvEvent& ev = ring_[(start + i) % cap];
-    if (!first) out += ',';
-    first = false;
-    out += "{\"id\":" + std::to_string(ev.id) +
-           ",\"cause\":" + std::to_string(ev.cause);
-    if (ev.packet != 0) out += ",\"packet\":" + std::to_string(ev.packet);
-    out += ",\"t\":" + std::to_string(ev.ts.count()) + ",\"kind\":\"";
-    out += to_string(ev.kind);
-    out += "\",\"what\":\"" + escape(ev.what) + "\"";
-    if (!ev.detail.empty()) out += ",\"detail\":\"" + escape(ev.detail) + "\"";
-    if (!ev.refs.empty()) {
-      out += ",\"refs\":[";
-      for (size_t r = 0; r < ev.refs.size(); ++r) {
-        if (r) out += ',';
-        out += std::to_string(ev.refs[r]);
-      }
-      out += "]";
+  std::string out;
+  out.reserve(64 + ring_.size() * 112);
+  out += "{\"events\":[";
+  for (size_t i = 0; i < ring_.size(); ++i) {
+    const ProvRecord& rec = ring_[i];
+    if (i) out += ',';
+    out += "{\"id\":";
+    append_int(out, rec.id);
+    out += ",\"cause\":";
+    append_int(out, rec.cause);
+    if (rec.packet != 0) {
+      out += ",\"packet\":";
+      append_int(out, rec.packet);
     }
-    out += "}";
+    out += ",\"t\":";
+    append_int(out, rec.ts.count());
+    out += ",\"kind\":\"";
+    out += to_string(rec.kind);
+    out += "\",\"what\":\"";
+    if (rec.text == ProvText::Interned) {
+      append_escaped(out, text(rec.what));
+    } else {
+      append_wire(out, rec);  // digits, dots and punctuation only
+    }
+    out += '"';
+    if (rec.detail != 0) {
+      out += ",\"detail\":\"";
+      append_escaped(out, text(rec.detail));
+      out += '"';
+    }
+    if (rec.refs_len != 0) {
+      out += ",\"refs\":[";
+      const auto r = refs(rec);
+      for (size_t k = 0; k < r.size(); ++k) {
+        if (k) out += ',';
+        append_int(out, r[k]);
+      }
+      out += ']';
+    }
+    out += '}';
   }
-  out += "],\"total\":" + std::to_string(total_) +
-         ",\"dropped\":" + std::to_string(dropped_) + "}";
+  out += "],\"total\":";
+  append_int(out, total_);
+  out += ",\"dropped\":";
+  append_int(out, dropped_);
+  out += '}';
   return out;
 }
 
 std::vector<AlertAttribution> attribute_alerts(const ProvenanceGraph& g) {
   std::vector<AlertAttribution> out;
-  for (const ProvEvent& ev : g.events()) {
+  for (size_t i = 0; i < g.size(); ++i) {
+    const ProvRecord& ev = g.at(i);
     if (ev.kind != ProvKind::AlertStored) continue;
     AlertAttribution a;
     a.alert = ev.id;
@@ -258,13 +409,13 @@ std::vector<AlertAttribution> attribute_alerts(const ProvenanceGraph& g) {
     // parent; fall back to walking the parent if the copy is missing.
     a.packet = ev.packet;
     if (a.packet == 0) {
-      if (const ProvEvent* parent = g.find(ev.cause)) {
+      if (const ProvRecord* parent = g.find(ev.cause)) {
         a.packet = parent->packet;
       }
     }
     if (a.packet != 0) {
       a.root = g.root_of(a.packet);
-      if (const ProvEvent* root = g.find(a.root)) {
+      if (const ProvRecord* root = g.find(a.root)) {
         a.probe_caused = root->kind == ProvKind::ProbeStart ||
                          root->kind == ProvKind::Attempt;
       }
@@ -276,11 +427,21 @@ std::vector<AlertAttribution> attribute_alerts(const ProvenanceGraph& g) {
 
 namespace {
 
-std::string event_line(const ProvEvent& ev) {
+/// "what (detail)" — the text part of every explain line.
+std::string label(const ProvenanceGraph& g, const ProvRecord& ev) {
+  std::string out = g.what(ev);
+  if (std::string_view detail = g.detail(ev); !detail.empty()) {
+    out += " (";
+    out += detail;
+    out += ")";
+  }
+  return out;
+}
+
+std::string event_line(const ProvenanceGraph& g, const ProvRecord& ev) {
   std::string line = common::format("[e%llu] ",
                                     static_cast<unsigned long long>(ev.id));
-  line += std::string(to_string(ev.kind)) + " " + ev.what;
-  if (!ev.detail.empty()) line += " (" + ev.detail + ")";
+  line += std::string(to_string(ev.kind)) + " " + label(g, ev);
   line += common::format(" t=%.6fs", ev.ts.to_seconds());
   return line;
 }
@@ -288,11 +449,11 @@ std::string event_line(const ProvEvent& ev) {
 void render_chain(const ProvenanceGraph& g, uint64_t from, int indent,
                   std::string& out) {
   for (uint64_t id : g.chain(from)) {
-    const ProvEvent* ev = g.find(id);
+    const ProvRecord* ev = g.find(id);
     if (ev == nullptr) break;
     out.append(static_cast<size_t>(indent), ' ');
     if (id != from) out += "<- ";
-    out += event_line(*ev) + "\n";
+    out += event_line(g, *ev) + "\n";
   }
 }
 
@@ -300,24 +461,25 @@ void render_chain(const ProvenanceGraph& g, uint64_t from, int indent,
 
 std::string explain_text(const ProvenanceGraph& g) {
   std::string out;
-  const std::vector<ProvEvent> events = g.events();
-
-  for (const ProvEvent& ev : events) {
+  for (size_t i = 0; i < g.size(); ++i) {
+    const ProvRecord& ev = g.at(i);
     if (ev.kind != ProvKind::Verdict) continue;
-    out += "verdict: " + ev.what;
-    if (!ev.detail.empty()) out += " (" + ev.detail + ")";
+    out += "verdict: " + label(g, ev);
     out += common::format(" t=%.6fs\n", ev.ts.to_seconds());
-    if (const ProvEvent* probe = g.find(g.root_of(ev.id))) {
-      if (probe->id != ev.id) out += "  probe: " + event_line(*probe) + "\n";
+    if (const ProvRecord* probe = g.find(g.root_of(ev.id))) {
+      if (probe->id != ev.id) {
+        out += "  probe: " + event_line(g, *probe) + "\n";
+      }
     }
-    if (ev.refs.empty()) {
+    const auto refs = g.refs(ev);
+    if (refs.empty()) {
       out += "  evidence: (none recorded)\n";
     } else {
       out += "  evidence:\n";
-      for (uint64_t ref : ev.refs) {
-        const ProvEvent* e = g.find(ref);
+      for (uint64_t ref : refs) {
+        const ProvRecord* e = g.find(ref);
         out += "    ";
-        out += e ? event_line(*e)
+        out += e ? event_line(g, *e)
                  : common::format("[e%llu] (evicted)",
                                   static_cast<unsigned long long>(ref));
         out += "\n";
@@ -331,12 +493,12 @@ std::string explain_text(const ProvenanceGraph& g) {
   out += common::format("alerts: %zu stored, %zu probe-caused\n",
                         alerts.size(), probe_caused);
   for (const auto& a : alerts) {
-    const ProvEvent* ev = g.find(a.alert);
+    const ProvRecord* ev = g.find(a.alert);
     if (ev == nullptr) continue;
-    out += "  " + event_line(*ev);
+    out += "  " + event_line(g, *ev);
     out += a.probe_caused ? "  ** probe-caused **\n" : "  [background]\n";
-    if (const ProvEvent* parent = g.find(ev->cause)) {
-      out += "    <- " + event_line(*parent) + "\n";
+    if (const ProvRecord* parent = g.find(ev->cause)) {
+      out += "    <- " + event_line(g, *parent) + "\n";
     }
     if (a.packet != 0) {
       render_chain(g, a.packet, 6, out);

@@ -32,7 +32,7 @@ std::string micros(int64_t nanos) {
 
 }  // namespace
 
-Tracer::Tracer(size_t capacity) : ring_(capacity ? capacity : 1) {}
+Tracer::Tracer(size_t capacity) : ring_(capacity) {}
 
 void Tracer::set_clock(std::function<common::SimTime()> clock) {
   clock_ = std::move(clock);
@@ -43,10 +43,8 @@ common::SimTime Tracer::now() const {
 }
 
 void Tracer::push(TraceEvent ev) {
-  if (count_ == ring_.size()) ++dropped_;  // overwriting the oldest
-  ring_[next_] = std::move(ev);
-  next_ = (next_ + 1) % ring_.size();
-  if (count_ < ring_.size()) ++count_;
+  if (ring_.full()) ++dropped_;  // overwriting the oldest
+  ring_.push(std::move(ev));
 }
 
 void Tracer::instant(common::SimTime ts, std::string_view name,
@@ -78,27 +76,22 @@ void Tracer::counter(common::SimTime ts, std::string_view name,
 }
 
 void Tracer::clear() {
-  next_ = 0;
-  count_ = 0;
+  ring_.clear();
   dropped_ = 0;
 }
 
 std::vector<TraceEvent> Tracer::events() const {
   std::vector<TraceEvent> out;
-  out.reserve(count_);
-  size_t start = count_ == ring_.size() ? next_ : 0;
-  for (size_t i = 0; i < count_; ++i) {
-    out.push_back(ring_[(start + i) % ring_.size()]);
-  }
+  out.reserve(ring_.size());
+  for (size_t i = 0; i < ring_.size(); ++i) out.push_back(ring_[i]);
   return out;
 }
 
 std::string Tracer::to_chrome_json() const {
   std::string out = "{\"traceEvents\":[";
-  bool first = true;
-  for (const auto& ev : events()) {
-    if (!first) out += ',';
-    first = false;
+  for (size_t i = 0; i < ring_.size(); ++i) {
+    const TraceEvent& ev = ring_[i];
+    if (i) out += ',';
     out += "{\"name\":\"" + escape(ev.name) + "\",\"ph\":\"";
     out += ev.phase;
     out += "\",\"ts\":" + micros(ev.ts.count());

@@ -5,8 +5,10 @@
 //
 // The ring buffer makes the tracer safe to leave on under heavy traffic:
 // when full it overwrites the oldest record and counts the drop, so a
-// million-event run costs a fixed amount of memory and the export always
-// holds the most recent window (what a flight recorder keeps).
+// million-event run costs a bounded amount of memory and the export
+// always holds the most recent window (what a flight recorder keeps).
+// The capacity is only a bound: storage grows on demand (obs/ring.hpp),
+// so a disabled tracer allocates nothing.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +18,7 @@
 #include <vector>
 
 #include "common/time.hpp"
+#include "obs/ring.hpp"
 
 namespace sm::obs {
 
@@ -51,8 +54,9 @@ class Tracer {
   void counter(common::SimTime ts, std::string_view name,
                std::string_view series, double value);
 
-  size_t capacity() const { return ring_.size(); }
-  size_t size() const { return count_; }
+  /// The configured bound on retained records (not what is allocated).
+  size_t capacity() const { return ring_.capacity(); }
+  size_t size() const { return ring_.size(); }
   /// Records overwritten because the ring was full.
   uint64_t dropped() const { return dropped_; }
   void clear();
@@ -70,9 +74,7 @@ class Tracer {
 
   bool enabled_ = true;
   std::function<common::SimTime()> clock_;
-  std::vector<TraceEvent> ring_;
-  size_t next_ = 0;   // write position
-  size_t count_ = 0;  // valid records (<= capacity)
+  ChunkedRing<TraceEvent> ring_;
   uint64_t dropped_ = 0;
 };
 

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <deque>
 #include <fstream>
 #include <iterator>
 #include <limits>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "common/logging.hpp"
+#include "common/strings.hpp"
 #include "core/probe.hpp"
 #include "core/report_json.hpp"
 #include "core/risk.hpp"
@@ -379,6 +381,149 @@ TEST(Tracer, ScopedSpanUsesTheClock) {
   EXPECT_EQ(ev.phase, 'X');
   EXPECT_EQ(ev.ts.count(), 1000);
   EXPECT_EQ(ev.dur.count(), 3000);
+}
+
+// --- Lazy rings: differential against an eager reference --------------
+
+TEST(ChunkedRing, AllocatesNothingUntilTheFirstPush) {
+  constexpr size_t kChunk = obs::ChunkedRing<int>::kChunk;
+  obs::ChunkedRing<int> ring(1 << 16);
+  EXPECT_EQ(ring.capacity(), size_t{1} << 16);
+  EXPECT_EQ(ring.chunks(), 0u);
+  ring.push(1);
+  EXPECT_EQ(ring.chunks(), 1u);
+  for (size_t i = 1; i < kChunk; ++i) ring.push(static_cast<int>(i));
+  EXPECT_EQ(ring.chunks(), 1u);
+  ring.push(0);
+  EXPECT_EQ(ring.chunks(), 2u);
+  // clear() keeps the chunks for reuse; set_capacity() rebuilds to fit.
+  ring.clear();
+  EXPECT_EQ(ring.chunks(), 2u);
+  ring.push(7);
+  EXPECT_EQ(ring.set_capacity(3), 0u);
+  EXPECT_EQ(ring.chunks(), 1u);
+  EXPECT_EQ(ring.front(), 7);
+
+  // A disabled tracer never touches its ring.
+  obs::Tracer tracer;
+  tracer.set_enabled(false);
+  tracer.instant(SimTime(1), "x", "y");
+  EXPECT_EQ(tracer.capacity(), size_t{1} << 16);
+  EXPECT_EQ(tracer.size(), 0u);
+}
+
+namespace {
+
+/// The eager flight recorder the tracer's ring replaced.
+struct RefTracer {
+  explicit RefTracer(size_t cap) : capacity(cap) {}
+
+  size_t capacity;
+  std::deque<obs::TraceEvent> ring;
+  uint64_t dropped = 0;
+
+  void push(obs::TraceEvent ev) {
+    if (ring.size() == capacity) {
+      ring.pop_front();
+      ++dropped;
+    }
+    ring.push_back(std::move(ev));
+  }
+  std::string to_chrome_json() const {
+    auto micros = [](int64_t nanos) {
+      return common::format("%lld.%03lld", static_cast<long long>(nanos / 1000),
+                            static_cast<long long>(nanos % 1000));
+    };
+    std::string out = "{\"traceEvents\":[";
+    for (size_t i = 0; i < ring.size(); ++i) {
+      const obs::TraceEvent& ev = ring[i];
+      out += std::string(i ? "," : "") + "{\"name\":\"" + ev.name +
+             "\",\"ph\":\"" + ev.phase + "\",\"ts\":" +
+             micros(ev.ts.count());
+      if (ev.phase == 'X') out += ",\"dur\":" + micros(ev.dur.count());
+      if (!ev.cat.empty()) out += ",\"cat\":\"" + ev.cat + "\"";
+      out += ",\"pid\":1,\"tid\":1";
+      if (ev.phase == 'i') out += ",\"s\":\"t\"";
+      if (!ev.args_json.empty()) out += ",\"args\":{" + ev.args_json + "}";
+      out += "}";
+    }
+    return out + "],\"displayTimeUnit\":\"ms\",\"otherData\":{" +
+           "\"clock\":\"sim\",\"dropped\":" + std::to_string(dropped) +
+           "}}";
+  }
+};
+
+void expect_same_trace(const obs::Tracer& t, const RefTracer& ref) {
+  ASSERT_EQ(t.size(), ref.ring.size());
+  ASSERT_EQ(t.dropped(), ref.dropped);
+  auto events = t.events();
+  ASSERT_EQ(events.size(), ref.ring.size());
+  for (size_t i = 0; i < events.size(); ++i) {
+    ASSERT_EQ(events[i].ts, ref.ring[i].ts);
+    ASSERT_EQ(events[i].dur, ref.ring[i].dur);
+    ASSERT_EQ(events[i].phase, ref.ring[i].phase);
+    ASSERT_EQ(events[i].name, ref.ring[i].name);
+    ASSERT_EQ(events[i].cat, ref.ring[i].cat);
+    ASSERT_EQ(events[i].args_json, ref.ring[i].args_json);
+  }
+  ASSERT_EQ(t.to_chrome_json(), ref.to_chrome_json());
+}
+
+void trace_step(obs::Tracer& t, RefTracer& ref, uint64_t step) {
+  const SimTime ts(static_cast<int64_t>(step * 1000 + step % 7));
+  const std::string name = "e" + std::to_string(step);
+  if (step % 3 == 0) {
+    t.complete(ts, ts + Duration(static_cast<int64_t>(step * 11)), name,
+               "span", "\"n\":" + std::to_string(step));
+    ref.push(obs::TraceEvent{ts, Duration(static_cast<int64_t>(step * 11)),
+                             'X', name, "span",
+                             "\"n\":" + std::to_string(step)});
+  } else {
+    t.instant(ts, name, step % 2 ? "" : "inst");
+    ref.push(obs::TraceEvent{ts, Duration{}, 'i', name,
+                             step % 2 ? "" : "inst", ""});
+  }
+}
+
+}  // namespace
+
+class TracerRingSweep : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(TracerRingSweep, MatchesEagerReferenceAtEveryRecordCount) {
+  const size_t cap = GetParam();
+  obs::Tracer tracer(cap);
+  RefTracer ref{cap};
+  EXPECT_EQ(tracer.capacity(), cap);
+  expect_same_trace(tracer, ref);
+  for (uint64_t step = 0; step < 3 * cap; ++step) {
+    trace_step(tracer, ref, step);
+    expect_same_trace(tracer, ref);
+    if (HasFatalFailure()) return;
+  }
+}
+
+// 1, 2, 3, 7, 64 and the chunk size - 1, exactly, + 1.
+INSTANTIATE_TEST_SUITE_P(
+    Capacities, TracerRingSweep,
+    ::testing::Values(size_t{1}, size_t{2}, size_t{3}, size_t{7}, size_t{64},
+                      obs::ChunkedRing<obs::TraceEvent>::kChunk - 1,
+                      obs::ChunkedRing<obs::TraceEvent>::kChunk,
+                      obs::ChunkedRing<obs::TraceEvent>::kChunk + 1));
+
+TEST(TracerRing, ClearThenReuseAndLateEnable) {
+  obs::Tracer tracer(5);
+  tracer.set_enabled(false);
+  tracer.instant(SimTime(1), "ignored", "x");
+  tracer.set_enabled(true);
+  RefTracer ref{5};
+  uint64_t step = 0;
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 12; ++i) trace_step(tracer, ref, step++);
+    expect_same_trace(tracer, ref);
+    tracer.clear();
+    ref = RefTracer{5};
+    expect_same_trace(tracer, ref);
+  }
 }
 
 // --- netsim::Engine instrumentation -----------------------------------

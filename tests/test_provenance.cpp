@@ -14,7 +14,9 @@
 //   UPDATE_GOLDEN=1 ./build/tests/test_provenance
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <deque>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -27,6 +29,7 @@
 #include "core/probe.hpp"
 #include "core/risk.hpp"
 #include "core/synprobe.hpp"
+#include "common/strings.hpp"
 #include "obs/provenance.hpp"
 
 using namespace sm;
@@ -114,7 +117,7 @@ TEST(ProvenanceGraph, RingDropsOldestAndCountsExactly) {
   // Evicted ids are gone, retained ones still resolve.
   EXPECT_EQ(g.find(3), nullptr);
   ASSERT_NE(g.find(8), nullptr);
-  EXPECT_EQ(g.find(8)->what, "r7");
+  EXPECT_EQ(g.what(*g.find(8)), "r7");
 }
 
 TEST(ProvenanceGraph, ChainStopsAtEvictedAncestor) {
@@ -192,6 +195,423 @@ TEST(ProvenanceGraph, SummarizeWire) {
   EXPECT_EQ(obs::summarize_wire(garbage, sizeof(garbage)), "raw");
 }
 
+// --- Ring semantics: differential against an eager reference ----------
+//
+// The graph stores POD records in a ring that allocates on demand and
+// renders text at export. RefGraph is the straightforward eager model it
+// replaced: a deque of materialized events, evicting from the front.
+// Every observable (events, export bytes, counters, find/chain/root_of)
+// must agree after every single record.
+
+namespace {
+
+std::string reference_summary(const uint8_t* data, size_t len) {
+  if (data == nullptr || len < 20 || (data[0] >> 4) != 4) return "raw";
+  const size_t ihl = static_cast<size_t>(data[0] & 0x0f) * 4;
+  const uint8_t proto = data[9];
+  auto ip = [](const uint8_t* p) {
+    return common::format("%u.%u.%u.%u", p[0], p[1], p[2], p[3]);
+  };
+  std::string src = ip(data + 12), dst = ip(data + 16);
+  const char* name = proto == 6    ? "tcp"
+                     : proto == 17 ? "udp"
+                     : proto == 1  ? "icmp"
+                                   : nullptr;
+  if ((proto == 6 || proto == 17) && len >= ihl + 4) {
+    return common::format("%s %s:%u>%s:%u", name, src.c_str(),
+                          data[ihl] << 8 | data[ihl + 1], dst.c_str(),
+                          data[ihl + 2] << 8 | data[ihl + 3]);
+  }
+  if (name != nullptr) {
+    return common::format("%s %s>%s", name, src.c_str(), dst.c_str());
+  }
+  return common::format("proto=%u %s>%s", proto, src.c_str(), dst.c_str());
+}
+
+std::string reference_escape(const std::string& s) {
+  std::string out;
+  for (char c : s) {
+    if (c == '\\') out += "\\\\";
+    else if (c == '"') out += "\\\"";
+    else if (c == '\n') out += "\\n";
+    else out += c;
+  }
+  return out;
+}
+
+struct RefGraph {
+  explicit RefGraph(size_t cap) : capacity(cap) {}
+
+  size_t capacity;
+  std::deque<obs::ProvEvent> ring;
+  uint64_t total = 0;
+  uint64_t dropped = 0;
+
+  void push(obs::ProvEvent ev) {
+    if (ring.size() == capacity) {
+      ring.pop_front();
+      ++dropped;
+    }
+    ring.push_back(std::move(ev));
+  }
+  void set_capacity(size_t cap) {
+    capacity = std::max<size_t>(1, cap);
+    while (ring.size() > capacity) {
+      ring.pop_front();
+      ++dropped;
+    }
+  }
+  const obs::ProvEvent* find(uint64_t id) const {
+    auto it = std::lower_bound(
+        ring.begin(), ring.end(), id,
+        [](const obs::ProvEvent& ev, uint64_t want) { return ev.id < want; });
+    return it != ring.end() && it->id == id ? &*it : nullptr;
+  }
+  std::vector<uint64_t> chain(uint64_t id) const {
+    std::vector<uint64_t> out;
+    for (uint64_t cur = id; cur != 0;) {
+      const obs::ProvEvent* ev = find(cur);
+      if (ev == nullptr) break;
+      out.push_back(cur);
+      if (ev->cause >= cur) break;
+      cur = ev->cause;
+    }
+    return out;
+  }
+  std::string to_json() const {
+    std::string out = "{\"events\":[";
+    for (size_t i = 0; i < ring.size(); ++i) {
+      const obs::ProvEvent& ev = ring[i];
+      if (i) out += ',';
+      out += "{\"id\":" + std::to_string(ev.id) +
+             ",\"cause\":" + std::to_string(ev.cause);
+      if (ev.packet) out += ",\"packet\":" + std::to_string(ev.packet);
+      out += ",\"t\":" + std::to_string(ev.ts.count()) + ",\"kind\":\"" +
+             std::string(obs::to_string(ev.kind)) + "\",\"what\":\"" +
+             reference_escape(ev.what) + "\"";
+      if (!ev.detail.empty())
+        out += ",\"detail\":\"" + reference_escape(ev.detail) + "\"";
+      if (!ev.refs.empty()) {
+        out += ",\"refs\":[";
+        for (size_t r = 0; r < ev.refs.size(); ++r)
+          out += (r ? "," : "") + std::to_string(ev.refs[r]);
+        out += "]";
+      }
+      out += "}";
+    }
+    return out + "],\"total\":" + std::to_string(total) +
+           ",\"dropped\":" + std::to_string(dropped) + "}";
+  }
+};
+
+/// Wire images covering every summary form: TCP and UDP with ports, a
+/// TCP header cut before its ports, ICMP, an unnamed protocol, v6, junk.
+std::vector<common::Bytes> wire_samples() {
+  using common::Ipv4Address;
+  std::vector<common::Bytes> out;
+  auto bytes = [](const packet::Packet& p) {
+    return common::Bytes(p.data().begin(), p.data().end());
+  };
+  out.push_back(bytes(packet::make_tcp(Ipv4Address(10, 0, 0, 1),
+                                       Ipv4Address(192, 168, 255, 254),
+                                       65535, 80, packet::TcpFlags::kSyn,
+                                       1, 0)));
+  out.push_back(bytes(packet::make_udp(Ipv4Address(10, 1, 1, 10),
+                                       Ipv4Address(198, 18, 0, 53), 40000,
+                                       53, common::Bytes(12, 0x41))));
+  common::Bytes cut = out[0];
+  cut.resize(22);  // IPv4 header + half a TCP header: no ports
+  out.push_back(cut);
+  common::Bytes icmp = out[1];
+  icmp[9] = 1;
+  out.push_back(icmp);
+  common::Bytes gre = out[1];
+  gre[9] = 47;
+  out.push_back(gre);
+  out.push_back(bytes(packet::make_tcp6(
+      common::map_v6(Ipv4Address(10, 0, 0, 1)),
+      common::map_v6(Ipv4Address(10, 0, 0, 2)), 1, 2,
+      packet::TcpFlags::kSyn, 1, 0)));
+  out.push_back(common::Bytes{0x45, 0x00});
+  return out;
+}
+
+/// Records event `step` into both graphs: a deterministic mix of every
+/// kind, wire packets, labels needing escapes, empty details, backward
+/// causes (some out of the window) and verdicts with refs.
+void record_step(ProvenanceGraph& g, RefGraph& ref, uint64_t step,
+                 const std::vector<common::Bytes>& wires) {
+  static const char* kLabels[] = {"switch", "forward", "keyword-rst",
+                                  "corrupted", "na\"me\\x", "line\nbreak"};
+  const uint64_t id = ref.total + 1;
+  obs::ProvEvent ev;
+  ev.id = id;
+  ev.ts = SimTime(static_cast<int64_t>(step * 7919 % 100000));
+  ev.cause = step % 5 == 0 ? 0 : id - 1 - step % 3;
+  ev.packet = step % 4 == 0 ? 0 : id / 2;
+  uint64_t got = 0;
+  if (step % 6 == 1) {
+    const common::Bytes& w = wires[step % wires.size()];
+    ev.kind = ProvKind::PacketSent;
+    ev.cause = g.current_cause();
+    ev.packet = 0;
+    ev.what = reference_summary(w.data(), w.size());
+    got = g.record_packet(ev.ts, w.data(), w.size());
+  } else if (step % 9 == 4) {
+    ev.kind = ProvKind::Verdict;
+    ev.packet = 0;
+    ev.what = "blocked-rst";
+    ev.detail = step % 2 ? "rst confirmed" : "";
+    for (uint64_t r = 1; r <= step % 4; ++r) ev.refs.push_back(id - r);
+    got = g.record_verdict(ev.ts, ev.cause, ev.what, ev.detail, ev.refs);
+  } else {
+    ev.kind = static_cast<ProvKind>(step % 14);
+    ev.what = kLabels[step % 6];
+    ev.detail = step % 3 ? "" : kLabels[(step / 3) % 6];
+    got = g.record(ev.kind, ev.ts, ev.cause, ev.packet, ev.what, ev.detail);
+  }
+  ASSERT_EQ(got, id);
+  ref.total = id;
+  ref.push(std::move(ev));
+}
+
+void expect_same(const ProvenanceGraph& g, const RefGraph& ref) {
+  ASSERT_EQ(g.size(), ref.ring.size());
+  ASSERT_EQ(g.total(), ref.total);
+  ASSERT_EQ(g.dropped(), ref.dropped);
+  ASSERT_EQ(g.to_json(), ref.to_json());
+  const std::vector<obs::ProvEvent> events = g.events();
+  ASSERT_EQ(events.size(), ref.ring.size());
+  for (size_t i = 0; i < events.size(); ++i) {
+    const obs::ProvEvent& a = events[i];
+    const obs::ProvEvent& b = ref.ring[i];
+    ASSERT_EQ(a.id, b.id);
+    ASSERT_EQ(a.cause, b.cause);
+    ASSERT_EQ(a.packet, b.packet);
+    ASSERT_EQ(a.ts, b.ts);
+    ASSERT_EQ(a.kind, b.kind);
+    ASSERT_EQ(a.what, b.what);
+    ASSERT_EQ(a.detail, b.detail);
+    ASSERT_EQ(a.refs, b.refs);
+    ASSERT_EQ(g.at(i).id, b.id);
+  }
+  // Every retained id, the evicted ones just below the window, and the
+  // never-issued 0 and total+1.
+  const uint64_t oldest = ref.ring.empty() ? ref.total + 1 : ref.ring[0].id;
+  std::vector<uint64_t> ids = {0, ref.total + 1};
+  for (uint64_t id = oldest > 3 ? oldest - 3 : 1; id <= ref.total; ++id)
+    ids.push_back(id);
+  for (uint64_t id : ids) {
+    const obs::ProvRecord* rec = g.find(id);
+    const obs::ProvEvent* want = ref.find(id);
+    ASSERT_EQ(rec != nullptr, want != nullptr) << "id " << id;
+    if (rec != nullptr) {
+      ASSERT_EQ(rec->id, id);
+      ASSERT_EQ(g.what(*rec), want->what);
+    }
+    const std::vector<uint64_t> chain = ref.chain(id);
+    ASSERT_EQ(g.chain(id), chain) << "id " << id;
+    ASSERT_EQ(g.root_of(id), chain.empty() ? 0 : chain.back());
+  }
+}
+
+std::vector<size_t> ring_capacities() {
+  const size_t chunk = obs::ChunkedRing<obs::ProvRecord>::kChunk;
+  return {1, 2, 3, 7, 64, chunk - 1, chunk, chunk + 1};
+}
+
+}  // namespace
+
+class ProvenanceRingSweep : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(ProvenanceRingSweep, MatchesEagerReferenceAtEveryRecordCount) {
+  const auto wires = wire_samples();
+  const size_t cap = GetParam();
+  ProvenanceGraph g(cap);
+  RefGraph ref{cap};
+  EXPECT_EQ(g.capacity(), cap);
+  expect_same(g, ref);  // zero records
+  for (uint64_t step = 0; step < 3 * cap; ++step) {
+    record_step(g, ref, step, wires);
+    expect_same(g, ref);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_EQ(g.capacity(), cap);
+}
+
+// 1, 2, 3, 7, 64 and the chunk size - 1, exactly, + 1.
+INSTANTIATE_TEST_SUITE_P(Capacities, ProvenanceRingSweep,
+                         ::testing::ValuesIn(ring_capacities()));
+
+TEST(ProvenanceRing, SetCapacityShrinksAndGrowsWhileGrowing) {
+  const auto wires = wire_samples();
+  const size_t chunk = obs::ChunkedRing<obs::ProvRecord>::kChunk;
+  ProvenanceGraph g(3 * chunk);
+  RefGraph ref{3 * chunk};
+  uint64_t step = 0;
+  auto run = [&](size_t n) {
+    for (size_t i = 0; i < n; ++i) record_step(g, ref, step++, wires);
+  };
+  run(chunk + 10);  // still growing: two chunks, not yet wrapped
+  for (size_t cap : {size_t{40}, size_t{0}, size_t{5}, 2 * chunk + 3,
+                     size_t{7}}) {
+    SCOPED_TRACE("set_capacity " + std::to_string(cap));
+    g.set_capacity(cap);
+    ref.set_capacity(cap);
+    EXPECT_EQ(g.capacity(), std::max<size_t>(1, cap));
+    expect_same(g, ref);
+    run(cap / 2 + 1);
+    expect_same(g, ref);
+    run(2 * cap + 3);  // wrap at the new bound
+    expect_same(g, ref);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(ProvenanceRing, ClearThenReuse) {
+  const auto wires = wire_samples();
+  ProvenanceGraph g(64);
+  RefGraph ref{64};
+  uint64_t step = 0;
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 150; ++i) record_step(g, ref, step++, wires);
+    expect_same(g, ref);
+    g.clear();
+    ref = RefGraph{64};
+    expect_same(g, ref);
+    EXPECT_EQ(g.current_cause(), 0u);
+  }
+  record_step(g, ref, step, wires);
+  expect_same(g, ref);
+}
+
+TEST(ProvenanceRing, AppendRawWithIdGapsStaysFindable) {
+  // A sparse graph (as rebuilt from an export whose ring dropped events)
+  // falls back from index arithmetic to a search; both agree with the
+  // reference, and record() continues densely after the last raw id.
+  const auto wires = wire_samples();
+  ProvenanceGraph source(1 << 12);
+  RefGraph source_ref{1 << 12};
+  for (uint64_t step = 0; step < 600; ++step)
+    record_step(source, source_ref, step, wires);
+
+  for (size_t cap : ring_capacities()) {
+    SCOPED_TRACE("capacity " + std::to_string(cap));
+    ProvenanceGraph g(cap);
+    RefGraph ref{cap};
+    for (const obs::ProvEvent& ev : source.events()) {
+      if (ev.id % 7 == 3 || (ev.id > 200 && ev.id < 230)) continue;  // gaps
+      ref.dropped += ev.id - ref.total - 1;
+      ref.total = ev.id;
+      ref.push(ev);
+      g.append_raw(ev);
+    }
+    expect_same(g, ref);
+    // Out-of-order and zero ids are ignored.
+    obs::ProvEvent stale;
+    stale.id = 5;
+    g.append_raw(stale);
+    stale.id = 0;
+    g.append_raw(stale);
+    expect_same(g, ref);
+    for (uint64_t step = 0; step < cap + 3; ++step) {
+      record_step(g, ref, step, wires);
+    }
+    expect_same(g, ref);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(ProvenanceRing, LateEnableRecordsFromThenOn) {
+  const auto wires = wire_samples();
+  ProvenanceGraph g(8);
+  g.set_enabled(false);
+  EXPECT_EQ(g.record(ProvKind::Forward, SimTime(1), 0, 0, "r"), 0u);
+  EXPECT_EQ(g.record_packet(SimTime(2), wires[0].data(), wires[0].size()),
+            0u);
+  EXPECT_EQ(g.record_verdict(SimTime(3), 0, "x", "", {1}), 0u);
+  EXPECT_EQ(g.total(), 0u);
+  EXPECT_EQ(g.to_json(), "{\"events\":[],\"total\":0,\"dropped\":0}");
+  g.set_enabled(true);
+  RefGraph ref{8};
+  for (uint64_t step = 0; step < 20; ++step) {
+    record_step(g, ref, step, wires);
+  }
+  expect_same(g, ref);
+}
+
+TEST(ProvenanceRing, FindPointerSurvivesGrowth) {
+  const size_t chunk = obs::ChunkedRing<obs::ProvRecord>::kChunk;
+  ProvenanceGraph g(8 * chunk);
+  for (int i = 0; i < 10; ++i)
+    g.record(ProvKind::Forward, SimTime(i), 0, 0, "r" + std::to_string(i));
+  const obs::ProvRecord* five = g.find(5);
+  ASSERT_NE(five, nullptr);
+  // Grow across several chunk boundaries (and intern many more labels).
+  for (size_t i = 10; i < 5 * chunk; ++i)
+    g.record(ProvKind::Drop, SimTime(i), i, 0, "d" + std::to_string(i));
+  EXPECT_EQ(g.find(5), five);
+  EXPECT_EQ(five->id, 5u);
+  EXPECT_EQ(g.what(*five), "r4");
+}
+
+TEST(ProvenanceRing, FindIsDirectOnA50kEventGraph) {
+  // One 50,000-link cause chain plus an alert per 100 events: chain(),
+  // attribute_alerts() and explain_text() each call find() once per step,
+  // which a backward scan made quadratic in the graph size.
+  constexpr uint64_t kEvents = 50'000;
+  ProvenanceGraph g(kEvents);
+  uint64_t start =
+      g.record(ProvKind::ProbeStart, SimTime(0), 0, 0, "ping", "10.0.0.2");
+  uint64_t last = start;
+  size_t alerts = 0;
+  while (g.total() < kEvents) {
+    if (g.total() % 100 == 50) {
+      uint64_t ids = g.record(ProvKind::IdsAlert, SimTime(1), last, last,
+                              "sid=1", "attempted-recon");
+      g.record(ProvKind::AlertStored, SimTime(1), ids, last,
+               "attempted-recon", "src=10.0.0.1 kind=targeted");
+      ++alerts;
+    } else {
+      last = g.record(ProvKind::PacketSent, SimTime(1), last, 0, "hop");
+    }
+  }
+  EXPECT_EQ(g.size(), kEvents);
+  EXPECT_EQ(g.dropped(), 0u);
+  EXPECT_EQ(g.root_of(last), start);
+  EXPECT_EQ(g.chain(last).size(), kEvents - 2 * alerts);
+  auto attributions = obs::attribute_alerts(g);
+  ASSERT_EQ(attributions.size(), alerts);
+  for (const auto& a : attributions) {
+    EXPECT_EQ(a.root, start);
+    EXPECT_TRUE(a.probe_caused);
+  }
+  // The oldest event falls off; every lookup still resolves by position.
+  g.record(ProvKind::Forward, SimTime(2), last, last, "switch");
+  EXPECT_EQ(g.find(1), nullptr);
+  ASSERT_NE(g.find(2), nullptr);
+  EXPECT_EQ(g.find(2)->id, 2u);
+  EXPECT_EQ(g.find(kEvents + 1)->cause, last);
+}
+
+TEST(ProvenanceRing, VerdictRefsSurviveEvictionChurn) {
+  // Verdict refs live in a side pool that is compacted as verdicts are
+  // evicted; long churn must keep every retained verdict's refs intact.
+  ProvenanceGraph g(16);
+  RefGraph ref{16};
+  for (uint64_t i = 0; i < 5000; ++i) {
+    obs::ProvEvent ev;
+    ev.id = i + 1;
+    ev.kind = ProvKind::Verdict;
+    ev.what = "reachable";
+    for (uint64_t r = 0; r < 1 + i % 5; ++r) ev.refs.push_back(i - r);
+    ASSERT_EQ(g.record_verdict(ev.ts, 0, ev.what, "", ev.refs), ev.id);
+    ref.total = ev.id;
+    ref.push(std::move(ev));
+  }
+  expect_same(g, ref);
+}
+
 // --- Through the testbed ----------------------------------------------
 
 TEST(ProvenanceTestbed, DisabledByDefaultAndCostsNoEvents) {
@@ -211,19 +631,19 @@ TEST(ProvenanceTestbed, VerdictCarriesEvidenceChain) {
   const ProvenanceGraph& g = tb.provenance();
   ASSERT_GT(g.size(), 0u);
 
-  const obs::ProvEvent* verdict = nullptr;
-  const obs::ProvEvent* start = nullptr;
+  const obs::ProvRecord* verdict = nullptr;
+  const obs::ProvRecord* start = nullptr;
   for (const obs::ProvEvent& ev : g.events()) {
     if (ev.kind == ProvKind::Verdict) verdict = g.find(ev.id);
     if (ev.kind == ProvKind::ProbeStart) start = g.find(ev.id);
   }
   ASSERT_NE(start, nullptr);
   ASSERT_NE(verdict, nullptr);
-  EXPECT_EQ(verdict->what, "reachable");
+  EXPECT_EQ(g.what(*verdict), "reachable");
   EXPECT_EQ(verdict->cause, start->id);
-  ASSERT_FALSE(verdict->refs.empty());
+  ASSERT_FALSE(g.refs(*verdict).empty());
   // Every evidence ref chains back to the probe start.
-  for (uint64_t ref : verdict->refs) {
+  for (uint64_t ref : g.refs(*verdict)) {
     EXPECT_EQ(g.root_of(ref), start->id) << "evidence " << ref;
   }
   // The syn-ack evidence is packet-scoped? At minimum the probe's SYN
@@ -245,17 +665,17 @@ TEST(ProvenanceTestbed, CensorInjectionChainsToTriggeringPacket) {
 
   // The censor's keyword-rst action must reference the packet that
   // tripped the rule, and that packet must trace back to the probe.
-  const obs::ProvEvent* censor = nullptr;
+  const obs::ProvRecord* censor = nullptr;
   for (const obs::ProvEvent& ev : g.events()) {
     if (ev.kind == ProvKind::CensorAction && ev.what == "keyword-rst")
       censor = g.find(ev.id);
   }
   ASSERT_NE(censor, nullptr);
   ASSERT_NE(censor->cause, 0u);
-  const obs::ProvEvent* trigger = g.find(censor->cause);
+  const obs::ProvRecord* trigger = g.find(censor->cause);
   ASSERT_NE(trigger, nullptr);
   EXPECT_EQ(trigger->kind, ProvKind::PacketSent);
-  const obs::ProvEvent* root = g.find(g.root_of(censor->id));
+  const obs::ProvRecord* root = g.find(g.root_of(censor->id));
   ASSERT_NE(root, nullptr);
   EXPECT_EQ(root->kind, ProvKind::ProbeStart);
 }

@@ -12,8 +12,11 @@ the wheel in lockstep), so the gated metrics are the SELF-NORMALIZED
 contrasts each bench exists to defend -- wheel-vs-heap speedups,
 auto-vs-fixed IDS speedups, tapped-vs-untapped pipeline throughput
 ratios -- plus the hard invariants (zero hop copies, the bench's own
-pass flag). A real regression in the new code moves the contrast; a
-busy machine does not.
+pass flag) and the observability price floors (the provenance pipeline
+at >= 0.6x of the untapped one; testbed build with observability and
+provenance on <= 2x with them off; a disabled testbed build+teardown
+<= one run_probe). A real regression in the new code moves the
+contrast; a busy machine does not.
 
 Only scales present in BOTH files are compared (smoke mode runs fewer).
 
@@ -24,6 +27,9 @@ Usage:
 import argparse
 import json
 import sys
+
+# bench_event_core: provenance-recording pipeline pps / untapped pps.
+PROV_REL_FLOOR = 0.6
 
 
 def load(path):
@@ -79,6 +85,11 @@ def gate_event_core(gate, base, fresh, prov_overhead_max=None):
             gate.compare(f"pipeline_rel[{taps}]", base_rel[taps], fr)
     gate.require("hop_copies == 0", fresh.get("hop_copies") == 0)
     gate.require("pass flag", fresh.get("pass") is True)
+    # Enabled provenance has a known price: recording every hop into the
+    # graph keeps the pipeline at >= 0.6x of the untapped one.
+    prov_rel = fresh_rel.get("prov", 0.0)
+    gate.require(f"pipeline_rel[prov] {prov_rel:.2f} >= {PROV_REL_FLOOR}",
+                 prov_rel >= PROV_REL_FLOOR)
     if prov_overhead_max is not None:
         # Provenance-disabled hot path: the "none" config runs with no
         # graph attached, exactly like every non-provenance simulation.
@@ -122,6 +133,19 @@ def gate_campaign(gate, base, fresh):
     — the bench only emits speedup fields when hw_concurrency allows, so
     presence is the signal, and a single-core CI box skips cleanly."""
     gate.require("deterministic", fresh.get("deterministic") is True)
+    # Per-trial fixed cost, self-normalized within the fresh run: the
+    # observability rings allocate on demand, so switching both layers on
+    # at most doubles the build, and with both off a testbed costs no
+    # more to build and tear down than the probe it hosts.
+    cost = fresh.get("fixed_cost")
+    gate.require("fixed_cost present", cost is not None)
+    if cost is not None:
+        on, off = cost["build_on_ns"], cost["build_off_ns"]
+        gate.require(f"build on/off {on / off:.2f} <= 2.0", on <= 2.0 * off)
+        fixed = off + cost["teardown_off_ns"]
+        probe = cost["run_probe_ns"]
+        gate.require(f"build+teardown/run_probe {fixed / probe:.2f} <= 1.0",
+                     fixed <= probe)
     for field in ("speedup_4x", "proc_speedup_4x"):
         if field in fresh:
             gate.require(f"{field} >= 2.0", fresh[field] >= 2.0)

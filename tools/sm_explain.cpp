@@ -74,7 +74,7 @@ std::optional<ProvenanceGraph> graph_from_json(const Json& doc) {
         ev.refs.push_back(static_cast<uint64_t>(r.as_int()));
     }
     if (ev.id == 0) return std::nullopt;
-    g.append_raw(std::move(ev));
+    g.append_raw(ev);
   }
   return g;
 }
