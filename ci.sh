@@ -75,7 +75,10 @@ if [ "$STAGE" = "all" ] || [ "$STAGE" = "tsan" ]; then
   # the codec fuzz sweeps, which are cheap and worth a second sanitizer.
   # TimerWheel/PacketView ride along: the packet copy counters are the
   # one atomic the zero-copy path added, and the wheel's dispatch loop
-  # is timing-sensitive enough to deserve every sanitizer we have.
+  # is timing-sensitive enough to deserve every sanitizer we have. So do
+  # the network-wide delivery pool (DeliveryPool) and the hash-indexed
+  # IDS flow/threshold tables (FlowTableHashed, ThresholdTable): one
+  # instance per campaign worker, so a shared one would be a race.
   # Provenance rides along: the campaign carries per-trial graph exports
   # across worker threads and byte-compares them, a racy-merge magnet.
   # CampaignResume/Checkpoint: the checkpoint writer is shared by the
@@ -88,7 +91,7 @@ if [ "$STAGE" = "all" ] || [ "$STAGE" = "tsan" ]; then
   # pool surface.
   ctest --test-dir "$ROOT/build-tsan" --output-on-failure -j "$(nproc)" \
         --schedule-random \
-        -R '(Campaign|CampaignResume|Checkpoint|Logging|Merge|PacketFuzz|TimerWheel|PacketView|Provenance|Fragment6|Reassembler6|FastpathEquivalence)'
+        -R '(Campaign|CampaignResume|Checkpoint|Logging|Merge|PacketFuzz|TimerWheel|PacketView|DeliveryPool|FlowTableHashed|ThresholdTable|Provenance|Fragment6|Reassembler6|FastpathEquivalence)'
 fi
 
 if [ "$STAGE" = "all" ] || [ "$STAGE" = "simcheck" ]; then

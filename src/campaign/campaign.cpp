@@ -180,10 +180,12 @@ void finalize_campaign(
         ->counter("sm_campaign_worker_trials_total", worker_label,
                   "trials completed per worker")
         ->inc();
+    // Integer nanoseconds: an integer counter fed seconds would truncate
+    // every sub-second trial to 0.
     result.telemetry
-        ->counter("sm_campaign_worker_busy_seconds_total", worker_label,
+        ->counter("sm_campaign_worker_busy_nanoseconds_total", worker_label,
                   "host time each worker spent inside trials")
-        ->inc(t.wall_elapsed.to_seconds());
+        ->inc(static_cast<uint64_t>(t.wall_elapsed.count()));
     struct {
       const char* phase;
       common::Duration d;
@@ -192,11 +194,11 @@ void finalize_campaign(
                   {"finish", t.wall_finish}};
     for (const auto& p : phases) {
       result.telemetry
-          ->counter("sm_campaign_phase_wall_seconds_total",
+          ->counter("sm_campaign_phase_wall_nanoseconds_total",
                     {{"phase", p.phase}},
                     "host time per trial phase (setup = testbed build, "
                     "run = probe+drain, finish = risk/metrics/provenance)")
-          ->inc(p.d.to_seconds());
+          ->inc(static_cast<uint64_t>(p.d.count()));
     }
   }
   // Slow-trial detection: wall time against the campaign median. A trial
@@ -264,8 +266,10 @@ CampaignResult run(const std::vector<Trial>& trials,
       TrialResult& slot = result.trials[i];
       execute_trial(trials[i], i, options, slot, &snapshots[i]);
       slot.worker = worker;
-      size_t done = completed.fetch_add(1, std::memory_order_relaxed) + 1;
       std::lock_guard<std::mutex> lock(progress_mu);
+      // Counted under the lock, so heartbeats report completed counts in
+      // increasing order.
+      size_t done = completed.fetch_add(1, std::memory_order_relaxed) + 1;
       if (checkpointing && !ckpt.append(slot, snapshots[i].get())) {
         common::log_warn("campaign", "checkpoint append failed: " +
                                          ckpt.writer().error());

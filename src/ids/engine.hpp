@@ -20,6 +20,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/flathash.hpp"
 #include "common/time.hpp"
 #include "ids/fastpattern.hpp"
 #include "obs/metrics.hpp"
@@ -166,16 +167,24 @@ class Engine {
   Stats stats_;
 
   struct ThresholdKey {
-    uint32_t sid;
+    uint32_t sid = 0;
     IpAddress tracked;
     auto operator<=>(const ThresholdKey&) const = default;
+  };
+  struct ThresholdKeyHash {
+    uint64_t operator()(const ThresholdKey& k) const {
+      return common::hash_combine(common::hash_mix(ip_hash(k.tracked)),
+                                  k.sid);
+    }
   };
   struct ThresholdState {
     SimTime window_start{};
     uint32_t count = 0;
     bool fired_in_window = false;
   };
-  std::map<ThresholdKey, ThresholdState> thresholds_;
+  // Hash-indexed; order is never observable (lookups only).
+  common::FlatMap<ThresholdKey, ThresholdState, ThresholdKeyHash>
+      thresholds_;
 };
 
 }  // namespace sm::ids

@@ -87,9 +87,9 @@ FlowKey FlowKey::from(const packet::Decoded& d) {
 FlowContext FlowTable::update(SimTime now, const packet::Decoded& d,
                               bool buffer_streams) {
   if (!d.tcp && !d.udp) return {};
-  FlowKey key = FlowKey::from(d);
-  auto [it, inserted] = flows_.try_emplace(key);
-  FlowState& st = it->second;
+  auto [slot, inserted] = flows_.try_emplace(FlowKey::from(d));
+  if (inserted) *slot = allocate();
+  FlowState& st = **slot;
   if (inserted) {
     st.client = d.src_addr();
     st.client_port = d.src_port();
@@ -130,25 +130,38 @@ FlowContext FlowTable::update(SimTime now, const packet::Decoded& d,
   return FlowContext{&st, to_server};
 }
 
-size_t FlowTable::expire(SimTime now) {
-  size_t evicted = 0;
-  for (auto it = flows_.begin(); it != flows_.end();) {
-    if (now - it->second.last_seen > idle_timeout_) {
-      it = flows_.erase(it);
-      ++evicted;
-    } else {
-      ++it;
-    }
+FlowState* FlowTable::allocate() {
+  if (!free_.empty()) {
+    FlowState* st = free_.back();
+    free_.pop_back();
+    return st;
   }
-  return evicted;
+  if (chunk_used_ == kChunk) {
+    chunks_.push_back(std::make_unique<FlowState[]>(kChunk));
+    chunk_used_ = 0;
+  }
+  return &chunks_.back()[chunk_used_++];
+}
+
+void FlowTable::release(FlowState* st) {
+  *st = FlowState();  // drop the flow's buffers now, not on reuse
+  free_.push_back(st);
+}
+
+size_t FlowTable::expire(SimTime now) {
+  return flows_.erase_if([&](const FlowKey&, FlowState* st) {
+    if (now - st->last_seen <= idle_timeout_) return false;
+    release(st);
+    return true;
+  });
 }
 
 size_t FlowTable::buffered_bytes() const {
   size_t total = 0;
-  for (const auto& [k, st] : flows_) {
-    total += st.to_server_stream.buffered_bytes();
-    total += st.to_client_stream.buffered_bytes();
-  }
+  flows_.for_each([&](const FlowKey&, const FlowState* st) {
+    total += st->to_server_stream.buffered_bytes();
+    total += st->to_client_stream.buffered_bytes();
+  });
   return total;
 }
 

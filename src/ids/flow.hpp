@@ -10,8 +10,11 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <set>
+#include <vector>
 
+#include "common/flathash.hpp"
 #include "common/ip.hpp"
 #include "common/time.hpp"
 #include "packet/packet.hpp"
@@ -58,8 +61,17 @@ class StreamBuffer {
   std::map<uint32_t, std::vector<uint8_t>> pending_;  // out-of-order
 };
 
-/// Canonical 5-tuple key (direction-independent, either family — the
-/// IpAddress ordering keeps v4 and v6 flows in disjoint key ranges).
+/// Hash of an address of either family. A v4 address and a v6 address
+/// never compare equal (IpAddress equality includes the family), so the
+/// family need not be mixed in for correctness.
+inline uint64_t ip_hash(const IpAddress& a) {
+  return a.is_v6() ? common::hash_combine(common::hash_mix(a.v6().hi()),
+                                          a.v6().lo())
+                   : a.v4().value();
+}
+
+/// Canonical 5-tuple key (direction-independent, either family: the
+/// family is part of IpAddress equality, so v4 and v6 flows never alias).
 struct FlowKey {
   IpAddress a;
   uint16_t a_port = 0;
@@ -70,6 +82,16 @@ struct FlowKey {
   /// Builds the canonical (sorted-endpoint) key for a packet.
   static FlowKey from(const packet::Decoded& d);
   auto operator<=>(const FlowKey&) const = default;
+};
+
+struct FlowKeyHash {
+  uint64_t operator()(const FlowKey& k) const {
+    uint64_t h = common::hash_combine(common::hash_mix(ip_hash(k.a)),
+                                      ip_hash(k.b));
+    return common::hash_combine(h, (static_cast<uint64_t>(k.a_port) << 24) |
+                                       (static_cast<uint64_t>(k.b_port) << 8) |
+                                       k.proto);
+  }
 };
 
 struct FlowState {
@@ -98,6 +120,13 @@ struct FlowContext {
   bool to_server = false;  // this packet travels client -> server
 };
 
+/// Flow states keyed through an open-addressed hash index. A FlowState
+/// is ~300 bytes, so it lives out of line in fixed-size chunks (stable
+/// addresses, one allocation per kChunk flows, recycled through a free
+/// list) and the index holds only a pointer: lookups probe a compact
+/// key table, and the table's load-factor slack costs pointers, not
+/// states. Table order is never observable: expire() returns a count
+/// and buffered_bytes() a sum.
 class FlowTable {
  public:
   explicit FlowTable(size_t stream_cap = 16 * 1024,
@@ -122,9 +151,17 @@ class FlowTable {
   size_t buffered_bytes() const;
 
  private:
+  static constexpr size_t kChunk = 64;
+
+  FlowState* allocate();
+  void release(FlowState* st);
+
   size_t stream_cap_;
   Duration idle_timeout_;
-  std::map<FlowKey, FlowState> flows_;
+  common::FlatMap<FlowKey, FlowState*, FlowKeyHash> flows_;
+  std::vector<std::unique_ptr<FlowState[]>> chunks_;
+  size_t chunk_used_ = kChunk;  // states handed out from chunks_.back()
+  std::vector<FlowState*> free_;
 };
 
 }  // namespace sm::ids

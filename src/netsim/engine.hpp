@@ -48,15 +48,22 @@ using TimerId = uint64_t;
 /// delivery closure schedules without heap allocation. Bigger or
 /// nontrivial callables fall back to a heap-boxed std::function.
 class EventFn {
+  static constexpr size_t kInline = 24;
+
  public:
+  /// Whether a callable of type F is stored inline (no heap allocation).
+  template <typename F>
+  static constexpr bool stores_inline =
+      std::is_trivially_copyable_v<F> && sizeof(F) <= kInline &&
+      alignof(F) <= alignof(void*);
+
   EventFn() = default;
   template <typename F,
             typename = std::enable_if_t<
                 !std::is_same_v<std::remove_cvref_t<F>, EventFn>>>
   EventFn(F&& f) {  // NOLINT(google-explicit-constructor)
     using D = std::remove_cvref_t<F>;
-    if constexpr (std::is_trivially_copyable_v<D> && sizeof(D) <= kInline &&
-                  alignof(D) <= alignof(void*)) {
+    if constexpr (stores_inline<D>) {
       ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
       invoke_ = [](EventFn& self) {
         (*std::launder(reinterpret_cast<D*>(self.buf_)))();
@@ -83,8 +90,6 @@ class EventFn {
   void operator()() { invoke_(*this); }
 
  private:
-  static constexpr size_t kInline = 24;
-
   std::function<void()>* box() const {
     std::function<void()>* p;
     std::memcpy(&p, buf_, sizeof(p));

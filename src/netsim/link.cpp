@@ -13,8 +13,46 @@ void Node::transmit(packet::Packet packet, int port) {
   if (link) link->send_from(this, std::move(packet));
 }
 
-Link::Link(Engine& engine, LinkConfig config, uint64_t seed)
-    : engine_(engine), config_(config),
+namespace {
+/// The per-hop engine event: {pool, slot} only, so it is stored inline.
+struct Delivery {
+  DeliveryPool* pool;
+  uint32_t slot;
+  void operator()() const { pool->deliver(slot); }
+};
+static_assert(EventFn::stores_inline<Delivery>,
+              "a hop must schedule without heap allocation");
+}  // namespace
+
+uint32_t DeliveryPool::park(packet::Packet packet, Node* node, int port) {
+  ++in_flight_;
+  if (free_head_ != kNoSlot) {
+    uint32_t slot = free_head_;
+    Slot& s = slots_[slot];
+    free_head_ = s.next_free;
+    s.packet = std::move(packet);
+    s.node = node;
+    s.port = port;
+    return slot;
+  }
+  slots_.push_back(Slot{std::move(packet), node, port, kNoSlot});
+  return static_cast<uint32_t>(slots_.size() - 1);
+}
+
+void DeliveryPool::deliver(uint32_t slot) {
+  Slot& s = slots_[slot];
+  Node* node = s.node;
+  int port = s.port;
+  packet::Packet packet = std::move(s.packet);
+  s.next_free = free_head_;
+  free_head_ = slot;
+  --in_flight_;
+  node->receive(std::move(packet), port);
+}
+
+Link::Link(Engine& engine, DeliveryPool& pool, LinkConfig config,
+           uint64_t seed)
+    : engine_(engine), pool_(pool), config_(config),
       model_(config.loss_rate, config.impairment, seed) {}
 
 std::pair<int, int> Link::connect(Node* a, Node* b) {
@@ -37,28 +75,8 @@ Link::Endpoint& Link::peer_of(Node* n) {
 
 void Link::deliver_at(common::SimTime when, Endpoint& rx,
                       packet::Packet packet) {
-  // Park the packet in a recycled slot and capture only {link, index}:
-  // the closure stays within std::function's small-object buffer, so the
-  // per-hop schedule allocates nothing. Indices survive vector growth,
-  // and arbitrary arrival order (reorder/duplicate impairments) is fine
-  // because each delivery pops its own slot.
-  uint32_t slot;
-  if (!free_inflight_.empty()) {
-    slot = free_inflight_.back();
-    free_inflight_.pop_back();
-    inflight_[slot] = InFlight{std::move(packet), rx.node, rx.port};
-  } else {
-    slot = static_cast<uint32_t>(inflight_.size());
-    inflight_.push_back(InFlight{std::move(packet), rx.node, rx.port});
-  }
-  engine_.schedule_at(when, [link = this, slot] {
-    InFlight& f = link->inflight_[slot];
-    Node* node = f.node;
-    int port = f.port;
-    packet::Packet p = std::move(f.packet);
-    link->free_inflight_.push_back(slot);
-    node->receive(std::move(p), port);
-  });
+  engine_.schedule_at(
+      when, Delivery{&pool_, pool_.park(std::move(packet), rx.node, rx.port)});
 }
 
 void Link::send_from(Node* from, packet::Packet packet) {

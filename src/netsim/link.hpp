@@ -43,9 +43,58 @@ struct LinkStats {
   }
 };
 
+/// Network-wide parking for packets between a link's send and the
+/// receiving node's delivery event. Every link of a Network shares one
+/// pool, so the slot a delivery frees is the slot the next send reuses
+/// (slots recycle LIFO through an intrusive free list): a packet hopping
+/// across the ~100k access links of a population topology touches one
+/// cache-warm slot instead of a cold per-link vector. The engine closure
+/// captures only {pool, slot index}, which stays inside EventFn's inline
+/// buffer, so a hop makes no heap allocation. Indices (not pointers)
+/// survive slot-vector growth, and arbitrary arrival order
+/// (reorder/duplicate impairments) is fine because each delivery
+/// releases exactly its own slot. The pool owns every parked packet: a
+/// Network torn down mid-flight frees them with the pool.
+class DeliveryPool {
+ public:
+  DeliveryPool() = default;
+  DeliveryPool(const DeliveryPool&) = delete;
+  DeliveryPool& operator=(const DeliveryPool&) = delete;
+
+  /// Parks `packet` for delivery to `node` on `port`; returns its slot.
+  uint32_t park(packet::Packet packet, Node* node, int port);
+
+  /// Releases `slot` and hands its packet to the receiving node. The
+  /// slot is free again before the node runs, so whatever the node sends
+  /// in response reuses it.
+  void deliver(uint32_t slot);
+
+  /// Slots ever allocated: the high-water mark of packets in flight.
+  size_t capacity() const { return slots_.size(); }
+  /// Packets parked right now.
+  size_t in_flight() const { return in_flight_; }
+
+ private:
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+
+  struct Slot {
+    packet::Packet packet;
+    Node* node = nullptr;
+    int port = -1;
+    uint32_t next_free = kNoSlot;
+  };
+
+  std::vector<Slot> slots_;
+  uint32_t free_head_ = kNoSlot;
+  size_t in_flight_ = 0;
+};
+
 class Link {
  public:
-  Link(Engine& engine, LinkConfig config, uint64_t seed = 1);
+  /// Links are built by Network::connect, which hands every link of the
+  /// network the same delivery pool.
+  Link(Engine& engine, DeliveryPool& pool, LinkConfig config,
+       uint64_t seed = 1);
 
   /// Wires the two endpoints; must be called exactly once. Returns the
   /// port index the link occupies on each node, (port on a, port on b),
@@ -77,29 +126,16 @@ class Link {
     common::SimTime busy_until{};
   };
 
-  /// A scheduled delivery, parked here instead of inside the engine
-  /// closure: capturing {Link*, slot index} keeps the closure within
-  /// std::function's small-object buffer, so the per-hop schedule makes
-  /// no heap allocation, and freed slots recycle. Indexed (not pointed)
-  /// because the vector grows; still-pending deliveries are destroyed
-  /// with the link, so a Network torn down mid-flight leaks nothing.
-  struct InFlight {
-    packet::Packet packet;
-    Node* node = nullptr;
-    int port = -1;
-  };
-
   Endpoint& endpoint_for(Node* n);
   Endpoint& peer_of(Node* n);
   void deliver_at(common::SimTime when, Endpoint& rx, packet::Packet packet);
 
   Engine& engine_;
+  DeliveryPool& pool_;
   LinkConfig config_;
   ImpairmentModel model_;
   Endpoint a_, b_;
   LinkStats stats_;
-  std::vector<InFlight> inflight_;
-  std::vector<uint32_t> free_inflight_;
 };
 
 }  // namespace sm::netsim

@@ -16,7 +16,7 @@ Router* Network::add_router(const std::string& name) {
 
 Link* Network::connect(Node* a, Node* b, LinkConfig config) {
   links_.push_back(std::make_unique<Link>(
-      engine_, config, common::splitmix64(link_seed_state_)));
+      engine_, pool_, config, common::splitmix64(link_seed_state_)));
   Link* link = links_.back().get();
   auto [port_a, port_b] = link->connect(a, b);
 

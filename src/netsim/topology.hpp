@@ -39,6 +39,9 @@ class Network {
 
   const std::vector<std::unique_ptr<Link>>& links() const { return links_; }
 
+  /// The one pool every link parks in-flight packets in.
+  const DeliveryPool& delivery_pool() const { return pool_; }
+
   /// Sums every link's LinkStats into impairment counters in the
   /// registry (sm_link_* series).
   void export_link_metrics(obs::Registry& registry) const;
@@ -55,6 +58,10 @@ class Network {
 
  private:
   Engine engine_;
+  // Declared after the engine: pending delivery events only name slots
+  // in the pool and are never run once the Network is gone, so packets
+  // still in flight are freed here, with the pool.
+  DeliveryPool pool_;
   std::vector<std::unique_ptr<Host>> hosts_;
   std::vector<std::unique_ptr<Router>> routers_;
   std::vector<std::unique_ptr<Link>> links_;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -276,6 +277,45 @@ TEST(CampaignJobs, EmptyCampaignYieldsMetricsOnlyReport) {
   std::string jsonl = result.to_jsonl();
   EXPECT_EQ(jsonl.find("\"trial\""), std::string::npos);
   EXPECT_NE(jsonl.find("\"metrics\""), std::string::npos);
+}
+
+// --- wall-clock telemetry -----------------------------------------------
+
+TEST(CampaignTelemetry, BusyAndPhaseTotalsAreExactNanoseconds) {
+  campaign::CampaignOptions options;
+  options.threads = 2;
+  campaign::CampaignResult result = campaign::run(small_workload(), options);
+  ASSERT_NE(result.telemetry, nullptr);
+  // Sub-second trials: a seconds-valued integer counter would read 0.
+  std::map<int, uint64_t> busy;
+  uint64_t setup = 0, run = 0, finish = 0;
+  for (const campaign::TrialResult& t : result.trials) {
+    ASSERT_LT(t.wall_elapsed, Duration::seconds(1));
+    busy[t.worker] += static_cast<uint64_t>(t.wall_elapsed.count());
+    setup += static_cast<uint64_t>(t.wall_setup.count());
+    run += static_cast<uint64_t>(t.wall_run.count());
+    finish += static_cast<uint64_t>(t.wall_finish.count());
+  }
+  ASSERT_FALSE(busy.empty());
+  for (const auto& [worker, ns] : busy) {
+    EXPECT_GT(ns, 0u);
+    EXPECT_EQ(result.telemetry
+                  ->counter("sm_campaign_worker_busy_nanoseconds_total",
+                            {{"worker", std::to_string(worker)}})
+                  ->value(),
+              ns)
+        << "worker " << worker;
+  }
+  auto phase = [&](const char* name) {
+    return result.telemetry
+        ->counter("sm_campaign_phase_wall_nanoseconds_total",
+                  {{"phase", name}})
+        ->value();
+  };
+  EXPECT_EQ(phase("setup"), setup);
+  EXPECT_EQ(phase("run"), run);
+  EXPECT_EQ(phase("finish"), finish);
+  EXPECT_GT(setup + run + finish, 0u);
 }
 
 // --- logging thread safety & worker tagging ---------------------------

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <tuple>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "ids/engine.hpp"
 #include "packet/packet.hpp"
 
@@ -321,6 +327,103 @@ TEST(Engine, AlertCarriesEndpoints) {
   EXPECT_EQ(v.alerts[0].src_port, 1234);
   EXPECT_EQ(v.alerts[0].dst_port, 80);
   EXPECT_FALSE(v.alerts[0].to_string().empty());
+}
+
+TEST(Engine, ThresholdTableMatchesOrderedReferenceAcrossManySources) {
+  // Four threshold rules, one per destination port, tracking by source
+  // and by destination. The reference model keys its windows by
+  // (sid, tracked address) in a std::map; the engine's hashed table
+  // must produce the identical alert sequence.
+  Engine e = Engine::from_text(
+      "alert udp any any -> any 53 (msg:\"lim\"; threshold:type limit, "
+      "track by_src, count 3, seconds 2; sid:101;)\n"
+      "alert udp any any -> any 123 (msg:\"thr\"; threshold:type "
+      "threshold, track by_src, count 4, seconds 2; sid:102;)\n"
+      "alert udp any any -> any 161 (msg:\"both\"; threshold:type both, "
+      "track by_src, count 2, seconds 2; sid:103;)\n"
+      "alert udp any any -> any 500 (msg:\"dst\"; threshold:type both, "
+      "track by_dst, count 3, seconds 3; sid:104;)");
+  struct RuleModel {
+    uint16_t port;
+    uint32_t sid;
+    ThresholdSpec::Type type;
+    bool by_src;
+    uint32_t count;
+    int64_t seconds;
+  };
+  const RuleModel rules[] = {
+      {53, 101, ThresholdSpec::Type::Limit, true, 3, 2},
+      {123, 102, ThresholdSpec::Type::Threshold, true, 4, 2},
+      {161, 103, ThresholdSpec::Type::Both, true, 2, 2},
+      {500, 104, ThresholdSpec::Type::Both, false, 3, 3},
+  };
+  struct Window {
+    SimTime start{};
+    uint32_t count = 0;
+    bool fired = false;
+  };
+  std::map<std::pair<uint32_t, IpAddress>, Window> ref;
+  auto ref_allows = [&](const RuleModel& r, SimTime now, const IpAddress& key) {
+    Window& w = ref[{r.sid, key}];
+    if (w.count == 0 || now - w.start > Duration::seconds(r.seconds)) {
+      w = Window{now, 0, false};
+    }
+    ++w.count;
+    switch (r.type) {
+      case ThresholdSpec::Type::Limit: return w.count <= r.count;
+      case ThresholdSpec::Type::Threshold: return w.count % r.count == 0;
+      case ThresholdSpec::Type::Both:
+        if (w.count >= r.count && !w.fired) {
+          w.fired = true;
+          return true;
+        }
+        return false;
+    }
+    return false;
+  };
+
+  // 12k sources across v4, map_v6 and bare v6 forms sharing low bits,
+  // 300 destinations per form; sources recur often enough to cross
+  // every threshold.
+  common::Rng rng(0x7E5A01D);
+  auto address = [&](uint32_t n) -> IpAddress {
+    Ipv4Address v4(0x0A000000u | (n / 3));
+    switch (n % 3) {
+      case 0: return v4;
+      case 1: return common::map_v6(v4);
+      default: return common::Ipv6Address(0, v4.value());
+    }
+  };
+  using Seen = std::tuple<int64_t, uint32_t, IpAddress, IpAddress>;
+  std::vector<Seen> got, want;
+  SimTime now(0);
+  for (int i = 0; i < 80'000; ++i) {
+    now = now + Duration(1 + static_cast<int64_t>(rng.bounded(150'000)));
+    auto s = static_cast<uint32_t>(rng.bounded(12'000));
+    auto t = static_cast<uint32_t>(rng.chance(0.5) ? rng.bounded(30)
+                                                   : 30 + rng.bounded(270));
+    IpAddress src = address(s);
+    IpAddress dst = address(t * 3 + s % 3);  // same address form as src
+    const RuleModel& r = rules[rng.bounded(4)];
+    common::Bytes payload{uint8_t(i)};
+    common::Bytes bytes =
+        src.is_v6()
+            ? packet::make_udp6(src.v6(), dst.v6(), 4000, r.port, payload)
+                  .data()
+            : packet::make_udp(src.v4(), dst.v4(), 4000, r.port, payload)
+                  .data();
+    auto d = packet::decode(bytes);
+    ASSERT_TRUE(d.has_value());
+    for (const Alert& a : e.process(now, *d).alerts)
+      got.emplace_back(a.time.count(), a.sid, a.src, a.dst);
+    if (ref_allows(r, now, r.by_src ? src : dst))
+      want.emplace_back(now.count(), r.sid, src, dst);
+  }
+  std::set<IpAddress> tracked;
+  for (const auto& [key, w] : ref) tracked.insert(key.second);
+  EXPECT_GE(tracked.size(), 10'000u);
+  EXPECT_GT(want.size(), 10'000u);
+  EXPECT_EQ(got, want);
 }
 
 }  // namespace

@@ -898,7 +898,7 @@ TEST(ProvenanceCampaign, TelemetryTracksWorkersAndPhases) {
   std::string telemetry = result.telemetry->to_prometheus();
   EXPECT_NE(telemetry.find("sm_campaign_worker_trials_total"),
             std::string::npos);
-  EXPECT_NE(telemetry.find("sm_campaign_phase_wall_seconds_total"),
+  EXPECT_NE(telemetry.find("sm_campaign_phase_wall_nanoseconds_total"),
             std::string::npos);
   EXPECT_NE(telemetry.find("sm_campaign_trial_wall_seconds"),
             std::string::npos);
