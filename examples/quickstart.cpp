@@ -3,16 +3,20 @@
 // both evaluation criteria — did we detect the blocking (accuracy), and
 // did the surveillance MVR log us (evasion)?
 //
-// With the observability layer enabled, the run also dumps a metrics
-// snapshot (every counter the adversary-side subsystems accumulated) and
-// a sim-time Chrome trace you can open in chrome://tracing.
+// With the metrics registry and the provenance graph enabled, the run
+// also dumps a metrics snapshot (every counter the adversary-side
+// subsystems accumulated) and a sim-time Chrome trace rendered from the
+// provenance graph — the probe span with its attempts nested inside —
+// that you can open in chrome://tracing.
 //
 //   $ ./quickstart [metrics.json [trace.json]]
 #include <cstdio>
+#include <string>
 
 #include "core/probe.hpp"
 #include "core/risk.hpp"
 #include "core/scan.hpp"
+#include "obs/provenance.hpp"
 
 int main(int argc, char** argv) {
   using namespace sm;
@@ -25,6 +29,7 @@ int main(int argc, char** argv) {
   config.policy = censor::gfc_profile();
   config.policy.blocked_ips.push_back(core::TestbedAddresses{}.web_blocked);
   config.enable_observability = true;
+  config.enable_provenance = true;
 
   core::Testbed tb(config);
 
@@ -49,19 +54,23 @@ int main(int argc, char** argv) {
   std::printf("evasion : %s (no targeted alert stored by the MVR)\n",
               risk.evaded ? "PASS" : "FAIL");
 
-  // Observability export: metrics snapshot + flight-recorder trace.
-  std::string metrics = tb.metrics_json();
-  if (FILE* f = std::fopen(metrics_path, "w")) {
-    std::fwrite(metrics.data(), 1, metrics.size(), f);
-    std::fclose(f);
+  // Observability export: metrics snapshot + Chrome trace.
+  auto save = [](const char* path, const std::string& text) {
+    FILE* f = std::fopen(path, "w");
+    if (f == nullptr) return false;
+    const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+    return std::fclose(f) == 0 && ok;
+  };
+  if (save(metrics_path, tb.metrics_json())) {
     std::printf("\nmetrics : %s (%zu series)\n", metrics_path,
                 tb.metrics().series_count());
   }
-  if (tb.tracer().save(trace_path)) {
+  const obs::ProvenanceGraph& graph = tb.provenance();
+  if (save(trace_path, obs::chrome_trace(graph))) {
     std::printf("trace   : %s (%zu events, %llu dropped) — open in "
                 "chrome://tracing\n",
-                trace_path, tb.tracer().size(),
-                static_cast<unsigned long long>(tb.tracer().dropped()));
+                trace_path, graph.size(),
+                static_cast<unsigned long long>(graph.dropped()));
   }
   return accurate && risk.evaded ? 0 : 1;
 }

@@ -297,9 +297,9 @@ std::string CampaignResult::to_jsonl() const {
   std::string out;
   for (const TrialResult& t : trials) {
     out += "{\"trial\":" + std::to_string(t.index) + ",\"name\":\"" +
-           core::json_escape(t.name) + "\",";
+           common::json_escape(t.name) + "\",";
     if (t.failed) {
-      out += "\"error\":\"" + core::json_escape(t.error) + "\"";
+      out += "\"error\":\"" + common::json_escape(t.error) + "\"";
     } else {
       out += "\"measurement\":" + core::to_json(t.report) +
              ",\"risk\":" + core::to_json(t.risk) +

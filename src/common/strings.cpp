@@ -122,4 +122,36 @@ std::string format(const char* fmt, ...) {
   return out;
 }
 
+void append_json_escaped(std::string& out, std::string_view s) {
+  size_t run = 0;  // start of the pending span of bytes that pass through
+  for (size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char u[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+        out.append(u, sizeof u);
+      }
+    }
+  }
+  out.append(s.data() + run, s.size() - run);
+}
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 8);
+  append_json_escaped(out, s);
+  return out;
+}
+
 }  // namespace sm::common

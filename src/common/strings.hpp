@@ -36,4 +36,12 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep);
 /// printf-style formatting into a std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
+/// Appends `s` escaped for use inside JSON string quotes (RFC 8259):
+/// quote, backslash and every control byte below 0x20 are escaped; all
+/// other bytes, multibyte UTF-8 included, pass through. The one JSON
+/// string escaper: every JSON writer in the tree goes through it.
+void append_json_escaped(std::string& out, std::string_view s);
+/// append_json_escaped() into a fresh string.
+std::string json_escape(std::string_view s);
+
 }  // namespace sm::common

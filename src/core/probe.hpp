@@ -34,8 +34,7 @@ class Probe {
 
 /// Per-probe provenance recorder: the uniform shape every probe family
 /// uses to hang its lifecycle on the causal graph. All methods no-op on
-/// a null graph, so probes instrument unconditionally (same contract as
-/// trace_sink()).
+/// a null graph, so probes instrument unconditionally.
 ///
 ///   prov_.begin(tb.prov_sink(), now, report_);   // ProbeStart (root)
 ///   prov_.attempt(now, n);                       // Attempt, child of start

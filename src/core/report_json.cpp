@@ -4,29 +4,6 @@
 
 namespace sm::core {
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          out += common::format("\\u%04x", c);
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  return out;
-}
-
 std::string to_json(const ProbeReport& report) {
   const Confidence& c = report.confidence;
   return common::format(
@@ -35,10 +12,10 @@ std::string to_json(const ProbeReport& report) {
       "\"samples_blocked\":%zu,\"attempts\":%zu,\"blocked\":%s,"
       "\"confidence\":{\"conclusion\":\"%s\",\"trials\":%zu,"
       "\"open\":%zu,\"blocked\":%zu,\"silent\":%zu,\"score\":%.6g}}",
-      json_escape(report.technique).c_str(),
-      json_escape(report.target).c_str(),
+      common::json_escape(report.technique).c_str(),
+      common::json_escape(report.target).c_str(),
       std::string(to_string(report.verdict)).c_str(),
-      json_escape(report.detail).c_str(), report.packets_sent,
+      common::json_escape(report.detail).c_str(), report.packets_sent,
       report.samples, report.samples_blocked, report.attempts,
       is_blocked(report.verdict) ? "true" : "false",
       std::string(to_string(c.conclusion)).c_str(), c.trials,
@@ -51,7 +28,7 @@ std::string to_json(const RiskReport& risk) {
       "\"targeted_alerts\":%llu,\"censored_access_alerts\":%llu,"
       "\"noise_alerts\":%llu,\"suspicion\":%.6g,"
       "\"attribution_probability\":%.6g}",
-      json_escape(risk.technique).c_str(), risk.evaded ? "true" : "false",
+      common::json_escape(risk.technique).c_str(), risk.evaded ? "true" : "false",
       risk.investigated ? "true" : "false",
       static_cast<unsigned long long>(risk.targeted_alerts),
       static_cast<unsigned long long>(risk.censored_access_alerts),

@@ -1,7 +1,7 @@
 // JSON serialization for measurement results — the interchange shape
 // measurement platforms actually publish (OONI reports are JSON lines).
-// Hand-rolled emitter: flat objects, full string escaping, no external
-// dependency.
+// Hand-rolled emitter: flat objects, strings escaped by
+// common::json_escape, no external dependency.
 #pragma once
 
 #include <string>
@@ -12,9 +12,6 @@
 #include "obs/metrics.hpp"
 
 namespace sm::core {
-
-/// Escapes a string for inclusion inside JSON quotes.
-std::string json_escape(std::string_view s);
 
 /// One measurement as a JSON object.
 std::string to_json(const ProbeReport& report);

@@ -24,7 +24,6 @@
 #include "netsim/trace.hpp"
 #include "obs/metrics.hpp"
 #include "obs/provenance.hpp"
-#include "obs/trace.hpp"
 #include "proto/dns/client.hpp"
 #include "proto/dns/server.hpp"
 #include "proto/http/client.hpp"
@@ -70,22 +69,20 @@ struct TestbedConfig {
   common::Duration dns_timeout = common::Duration::millis(2000);
   /// Shared secret for stateful mimicry ISN prediction.
   uint64_t mimicry_secret = 0xFEED5EED;
-  /// Turns on the observability layer: the sim-time tracer records every
-  /// engine event and probe span, and metrics_snapshot() bridges all
-  /// subsystem counters into the registry. Off by default; enabling it
-  /// changes no verdict, alert count, or event ordering — only what gets
-  /// recorded about them.
+  /// Turns on the metrics registry: probes count their runs and
+  /// metrics_snapshot() bridges all subsystem counters into it. Off by
+  /// default; enabling it changes no verdict, alert count, or event
+  /// ordering — only what gets recorded about them. The sim-time event
+  /// record is the provenance graph (enable_provenance).
   bool enable_observability = false;
-  /// Bound on the tracer's flight-recorder ring (records kept). Storage
-  /// grows on demand, so nothing is allocated while observability is off.
-  size_t trace_capacity = 1 << 16;
   /// Bound on the packet-capture tap (0 = unbounded; see
   /// TraceTap::set_max_records).
   size_t capture_max_records = 0;
-  /// Turns on the provenance layer: a causal event graph linking probe
-  /// attempts → packets → hops/impairments → tap observations → the
-  /// verdict. Independent of enable_observability (alerts resolve to
-  /// their causing packets either way); like it, enabling changes no
+  /// Turns on the provenance layer, the one sim-time event record: a
+  /// causal event graph linking probe attempts → packets →
+  /// hops/impairments → tap observations → the verdict, exported as JSON
+  /// (provenance_json()) or as a Chrome trace (obs::chrome_trace()).
+  /// Independent of enable_observability; like it, enabling changes no
   /// verdict or event ordering — only what gets recorded.
   bool enable_provenance = false;
   /// Bound on the provenance graph's drop-oldest ring (events kept).
@@ -154,18 +151,11 @@ class Testbed {
   // TestbedConfig::enable_observability).
   obs::Registry& metrics() { return *metrics_; }
   const obs::Registry& metrics() const { return *metrics_; }
-  obs::Tracer& tracer() { return *tracer_; }
-  /// The tracer when observability is on, nullptr otherwise — probe code
-  /// hands this straight to obs::ScopedSpan / instant() call sites.
-  obs::Tracer* trace_sink() {
-    return config_.enable_observability ? tracer_.get() : nullptr;
-  }
 
   obs::ProvenanceGraph& provenance() { return *provenance_; }
   const obs::ProvenanceGraph& provenance() const { return *provenance_; }
   /// The graph when provenance is on, nullptr otherwise — probes hand
-  /// this to record()/ScopedCause call sites (same pattern as
-  /// trace_sink()).
+  /// this to record()/ScopedCause call sites.
   obs::ProvenanceGraph* prov_sink() {
     return config_.enable_provenance ? provenance_.get() : nullptr;
   }
@@ -198,7 +188,6 @@ class Testbed {
   TestbedConfig config_;
   TestbedAddresses addr_;
   std::unique_ptr<obs::Registry> metrics_;
-  std::unique_ptr<obs::Tracer> tracer_;
   std::unique_ptr<obs::ProvenanceGraph> provenance_;
 };
 

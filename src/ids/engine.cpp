@@ -27,19 +27,17 @@ Engine::Engine(std::vector<Rule> rules, EngineOptions options)
     cr.rule = std::move(r);
     rules_.push_back(std::move(cr));
   }
-  // Resolve the match path once: Linear (or the legacy use_fastpath=false
-  // spelling) forces the scan, Fastpath forces the index, Auto picks by
-  // ruleset size.
+  // Resolve the match path once: Linear forces the scan, Fastpath forces
+  // the index, Auto picks by ruleset size.
   switch (options_.mode) {
     case MatchMode::Linear:
       fastpath_active_ = false;
       break;
     case MatchMode::Fastpath:
-      fastpath_active_ = options_.use_fastpath;
+      fastpath_active_ = true;
       break;
     case MatchMode::Auto:
-      fastpath_active_ = options_.use_fastpath &&
-                         rules_.size() > options_.auto_linear_max_rules;
+      fastpath_active_ = rules_.size() > options_.auto_linear_max_rules;
       break;
   }
   if (fastpath_active_) build_fastpath();

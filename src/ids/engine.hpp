@@ -63,18 +63,16 @@ struct Verdict {
 /// byte-identical verdicts, so the cutover never changes behavior.
 enum class MatchMode : uint8_t { Auto, Linear, Fastpath };
 
-/// Construction-time knobs. `use_fastpath` selects the rule-group index +
-/// fast-pattern prefilter; turning it off restores the legacy linear scan
-/// (same verdicts, used by equivalence tests and as a debugging aid).
+/// Construction-time knobs.
 struct EngineOptions {
-  bool use_fastpath = true;
   /// The Aho-Corasick scan costs one pass over the payload, while direct
   /// BMH evaluation of a handful of candidates skips sublinearly — so the
   /// prefilter only engages when at least this many content-rule
   /// candidates survive the port-group index. 0 forces it always on.
   size_t prefilter_min_candidates = 8;
-  /// Match-path policy; `use_fastpath = false` is equivalent to (and
-  /// kept as legacy spelling of) Linear.
+  /// Match-path policy: Fastpath selects the rule-group index +
+  /// fast-pattern prefilter, Linear the plain scan (same verdicts, used
+  /// by equivalence tests and as a debugging aid), Auto picks by size.
   MatchMode mode = MatchMode::Auto;
   /// Auto cutover: rulesets of at most this many rules run linear.
   /// Calibrated by bench_ids_fastpath (crossover sits between the 10-
@@ -107,7 +105,7 @@ class Engine {
     uint64_t packets = 0;
     uint64_t alerts = 0;
     uint64_t drops = 0;
-    // Fast-path instrumentation (all zero when use_fastpath is off).
+    // Fast-path instrumentation (all zero on the linear path).
     uint64_t fastpath_candidates = 0;  // rules surviving the group index
     uint64_t prefilter_hits = 0;       // content rules whose fast pattern hit
     uint64_t prefilter_skips = 0;      // content rules skipped, no full match

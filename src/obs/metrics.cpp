@@ -10,9 +10,10 @@ namespace sm::obs {
 
 namespace {
 
-/// Escapes a label value / help string for both the JSON snapshot and
-/// Prometheus exposition (the shared subset: backslash, quote, newline).
-std::string escape(std::string_view s) {
+/// Escapes a label value / help string for Prometheus exposition, whose
+/// rule is exactly backslash, quote and newline. The JSON snapshot uses
+/// common::json_escape instead.
+std::string prom_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
   for (char c : s) {
@@ -49,7 +50,7 @@ std::string labels_key(const Labels& labels) {
   std::string out;
   for (const auto& [k, v] : labels) {
     if (!out.empty()) out += ',';
-    out += k + "=\"" + escape(v) + "\"";
+    out += k + "=\"" + prom_escape(v) + "\"";
   }
   return out;
 }
@@ -189,11 +190,16 @@ std::string Registry::to_json() const {
     for (const auto& [key, s] : fam.series) {
       if (!first) out += ',';
       first = false;
-      out += "{\"name\":\"" + escape(name) + "\",\"labels\":{";
+      out += "{\"name\":\"";
+      common::append_json_escaped(out, name);
+      out += "\",\"labels\":{";
       for (size_t i = 0; i < s.labels.size(); ++i) {
         if (i) out += ',';
-        out += "\"" + escape(s.labels[i].first) + "\":\"" +
-               escape(s.labels[i].second) + "\"";
+        out += '"';
+        common::append_json_escaped(out, s.labels[i].first);
+        out += "\":\"";
+        common::append_json_escaped(out, s.labels[i].second);
+        out += '"';
       }
       out += "},\"kind\":\"";
       out += kind_name(static_cast<int>(fam.kind));
@@ -347,7 +353,7 @@ std::string Registry::to_prometheus() const {
   std::string out;
   for (const auto& [name, fam] : families_) {
     if (!fam.help.empty()) {
-      out += "# HELP " + name + " " + escape(fam.help) + "\n";
+      out += "# HELP " + name + " " + prom_escape(fam.help) + "\n";
     }
     out += "# TYPE " + name + " ";
     out += kind_name(static_cast<int>(fam.kind));

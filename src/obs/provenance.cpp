@@ -14,24 +14,25 @@ static_assert(std::is_trivially_copyable_v<ProvRecord> &&
 
 namespace {
 
-/// Appends `s` JSON-escaped (the subset the metrics exporter escapes).
-void append_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-}
-
 template <typename Int>
 void append_int(std::string& out, Int v) {
   char buf[24];
   auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
   (void)ec;
   out.append(buf, end);
+}
+
+/// Sim nanoseconds -> trace_event microseconds. Three decimals keep full
+/// nanosecond precision and render deterministically. Sim time never
+/// runs negative.
+void append_micros(std::string& out, int64_t nanos) {
+  const auto n = static_cast<uint64_t>(nanos);
+  append_int(out, n / 1000);
+  const auto frac = static_cast<unsigned>(n % 1000);
+  const char digits[] = {'.', static_cast<char>('0' + frac / 100),
+                         static_cast<char>('0' + frac / 10 % 10),
+                         static_cast<char>('0' + frac % 10)};
+  out.append(digits, sizeof digits);
 }
 
 void append_ipv4(std::string& out, uint32_t addr) {
@@ -369,14 +370,14 @@ std::string ProvenanceGraph::to_json() const {
     out += to_string(rec.kind);
     out += "\",\"what\":\"";
     if (rec.text == ProvText::Interned) {
-      append_escaped(out, text(rec.what));
+      common::append_json_escaped(out, text(rec.what));
     } else {
       append_wire(out, rec);  // digits, dots and punctuation only
     }
     out += '"';
     if (rec.detail != 0) {
       out += ",\"detail\":\"";
-      append_escaped(out, text(rec.detail));
+      common::append_json_escaped(out, text(rec.detail));
       out += '"';
     }
     if (rec.refs_len != 0) {
@@ -512,6 +513,75 @@ std::string explain_text(const ProvenanceGraph& g) {
         "note: %llu event(s) dropped from the ring; chains may truncate\n",
         static_cast<unsigned long long>(g.dropped()));
   }
+  return out;
+}
+
+std::string chrome_trace(const ProvenanceGraph& g) {
+  // Span ends, found newest-first: a verdict is seen before the attempts
+  // and the start it closes, and each attempt before the one it follows.
+  const common::SimTime newest =
+      g.size() != 0 ? g.at(g.size() - 1).ts : common::SimTime{};
+  std::unordered_map<uint64_t, common::SimTime> verdict_at;  // by start id
+  std::unordered_map<uint64_t, common::SimTime> next_attempt;
+  std::vector<common::SimTime> end(g.size(), newest);
+  auto probe_end = [&](uint64_t start) {
+    auto it = verdict_at.find(start);
+    return it != verdict_at.end() ? it->second : newest;
+  };
+  for (size_t i = g.size(); i-- > 0;) {
+    const ProvRecord& rec = g.at(i);
+    if (rec.kind == ProvKind::Verdict) {
+      verdict_at[rec.cause] = rec.ts;  // the oldest verdict wins
+    } else if (rec.kind == ProvKind::Attempt) {
+      auto it = next_attempt.find(rec.cause);
+      end[i] = it != next_attempt.end() ? it->second : probe_end(rec.cause);
+      next_attempt[rec.cause] = rec.ts;
+    } else if (rec.kind == ProvKind::ProbeStart) {
+      end[i] = probe_end(rec.id);
+    }
+  }
+
+  std::string out;
+  out.reserve(128 + g.size() * 160);
+  out += "{\"traceEvents\":[";
+  for (size_t i = 0; i < g.size(); ++i) {
+    const ProvRecord& rec = g.at(i);
+    const bool span =
+        rec.kind == ProvKind::ProbeStart || rec.kind == ProvKind::Attempt;
+    if (i) out += ',';
+    out += "{\"name\":\"";
+    if (rec.kind == ProvKind::ProbeStart) {
+      out += "probe:";
+      common::append_json_escaped(out, g.what(rec));
+    } else {
+      out += to_string(rec.kind);
+    }
+    out += span ? "\",\"ph\":\"X\",\"ts\":" : "\",\"ph\":\"i\",\"ts\":";
+    append_micros(out, rec.ts.count());
+    if (span) {
+      out += ",\"dur\":";
+      append_micros(out, (std::max(end[i], rec.ts) - rec.ts).count());
+    }
+    out += ",\"pid\":1,\"tid\":1";
+    if (!span) out += ",\"s\":\"t\"";
+    out += ",\"args\":{\"id\":";
+    append_int(out, rec.id);
+    out += ",\"cause\":";
+    append_int(out, rec.cause);
+    out += ",\"packet\":";
+    append_int(out, rec.packet);
+    out += ",\"what\":\"";
+    common::append_json_escaped(out, g.what(rec));
+    out += "\",\"detail\":\"";
+    common::append_json_escaped(out, g.detail(rec));
+    out += "\"}}";
+  }
+  out += "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"clock\":\"sim\","
+         "\"total\":";
+  append_int(out, g.total());
+  out += ",\"dropped\":";
+  append_int(out, g.dropped());
+  out += "}}";
   return out;
 }
 

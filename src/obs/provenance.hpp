@@ -11,7 +11,7 @@
 // clutter?" — the question simcheck's O4 oracle and the sm-explain CLI
 // both ask.
 //
-// Determinism contract (same as metrics/trace): event ids are dense
+// Determinism contract (same as the metrics registry): event ids are dense
 // sequence numbers, timestamps are SimTime, and nothing wall-clock or
 // address-dependent ever enters an event, so to_json() is byte-identical
 // across -j1/-jN and shard modes. Storage is a drop-oldest ring with a
@@ -258,6 +258,21 @@ std::vector<AlertAttribution> attribute_alerts(const ProvenanceGraph& g);
 /// its evidence chain first, then every stored alert with its full
 /// attribution chain. This is what `sm-explain` prints per trial.
 std::string explain_text(const ProvenanceGraph& g);
+
+/// The graph as Chrome trace_event JSON (chrome://tracing, Perfetto).
+/// Byte-deterministic, like to_json():
+///  - each ProbeStart is a complete ("X") span named "probe:<what>" that
+///    ends at the Verdict caused by that start;
+///  - each Attempt is an "X" span that ends at the next attempt of the
+///    same probe, or at that probe's verdict;
+///  - a span whose end event was evicted or never recorded closes at the
+///    newest retained event;
+///  - every other event is an instant named after its kind.
+/// Every event carries args {id, cause, packet, what, detail}: cause
+/// edges stay data here (sm-explain walks them), because the viewer only
+/// binds flow arrows to enclosing slices. ts/dur are sim microseconds
+/// with three decimals; otherData is {clock:"sim", total, dropped}.
+std::string chrome_trace(const ProvenanceGraph& g);
 
 /// "tcp 10.0.0.1:1234>10.0.0.2:80"-style summary of an IPv4 datagram's
 /// wire bytes (best-effort; never throws on truncated input).

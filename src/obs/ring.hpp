@@ -1,9 +1,9 @@
 // Drop-oldest flight-recorder ring that allocates on demand: the storage
-// behind obs::Tracer and obs::ProvenanceGraph.
+// behind obs::ProvenanceGraph, the one sim-time event record.
 //
 // `capacity` is a bound, not a reservation. Storage is fixed-size chunks
 // allocated the first time a write reaches them, so a ring that never
-// records (observability or provenance switched off) owns no memory, and
+// records (provenance switched off) owns no memory, and
 // a trial that records a few hundred events pays for one chunk instead
 // of 2^16 slots. Once every chunk exists the ring wraps and overwrites
 // its oldest record, exactly like an eagerly sized ring. Chunks never

@@ -1,13 +1,14 @@
 // Minimal JSON value model with a recursive-descent parser and a
 // deterministic writer.
 //
-// The rest of the tree only ever *emits* JSON (hand-rolled format
-// strings in core/report_json and obs/metrics). simcheck also has to
-// *read* it back: checked-in counterexamples in tests/corpus/ are
-// `{seed, scenario}` JSON documents that must replay byte-for-byte
-// across sessions. No external dependency, so a small parser lives
-// here. Objects keep insertion order on write but compare by content;
-// numbers are int64 when they round-trip exactly, double otherwise.
+// The rest of the tree only ever *emits* JSON (hand-rolled writers in
+// core/report_json, obs/metrics and obs/provenance, all escaping through
+// common::json_escape). simcheck also has to *read* it back: checked-in
+// counterexamples in tests/corpus/ are `{seed, scenario}` JSON documents
+// that must replay byte-for-byte across sessions. No external
+// dependency, so a small parser lives here. Objects keep insertion order
+// on write but compare by content; numbers are int64 when they
+// round-trip exactly, double otherwise.
 #pragma once
 
 #include <cstdint>

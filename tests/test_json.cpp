@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include "common/strings.hpp"
 #include "core/report_json.hpp"
 
 namespace sm::core {
 namespace {
+
+using common::json_escape;
 
 TEST(JsonEscape, PassesPlainText) {
   EXPECT_EQ(json_escape("hello world"), "hello world");
@@ -14,6 +17,8 @@ TEST(JsonEscape, EscapesSpecials) {
   EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
   EXPECT_EQ(json_escape("a\nb\tc"), "a\\nb\\tc");
   EXPECT_EQ(json_escape(std::string_view("\x01", 1)), "\\u0001");
+  EXPECT_EQ(json_escape(std::string_view("\r\b\f\x1f\0", 5)),
+            "\\r\\b\\f\\u001f\\u0000");
 }
 
 TEST(JsonEscape, PreservesUtf8Bytes) {

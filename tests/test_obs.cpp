@@ -1,12 +1,11 @@
-// Observability layer: metrics registry determinism, Chrome-trace export
-// well-formedness, flight-recorder wraparound, logging sink capture, the
-// TraceTap record cap, and the no-behaviour-change guarantee when the
-// layer is enabled on a full testbed run.
+// Observability layer: metrics registry determinism, the lazy ring's
+// allocation contract, logging sink capture, the TraceTap record cap,
+// Chrome-trace export of a full testbed run, and the no-behaviour-change
+// guarantee when the layer is enabled on that run.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
-#include <deque>
 #include <fstream>
 #include <iterator>
 #include <limits>
@@ -26,7 +25,8 @@
 #include "netsim/topology.hpp"
 #include "netsim/trace.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/provenance.hpp"
+#include "simcheck/json.hpp"
 #include "surveillance/mvr.hpp"
 
 namespace sm {
@@ -53,6 +53,23 @@ TEST(Registry, CounterGaugeBasics) {
   g->add(0.5);
   EXPECT_DOUBLE_EQ(g->value(), 4.0);
   EXPECT_EQ(reg.series_count(), 2u);
+}
+
+TEST(Registry, JsonEscapesEveryControlByte) {
+  // A label can carry raw bytes from the wire (a decoded DNS qname keeps
+  // its label bytes); the JSON snapshot must still be strict JSON.
+  obs::Registry reg;
+  const std::string host("a\tb\x01.twitter.com");
+  reg.counter("sm_x_total", {{"host", host}}, "help")->inc();
+  const std::string json = reg.to_json();
+  for (unsigned char c : json) ASSERT_GE(c, 0x20) << json;
+  const auto doc = simcheck::Json::parse(json);
+  ASSERT_TRUE(doc.has_value()) << json;
+  const simcheck::Json& series = doc->get("metrics")->items().at(0);
+  EXPECT_EQ(series.get("labels")->get("host")->as_string(), host);
+  // Prometheus exposition keeps its own rule: backslash, quote, newline.
+  EXPECT_NE(reg.to_prometheus().find("host=\"" + host + "\""),
+            std::string::npos);
 }
 
 TEST(Registry, LabeledSeriesAreIndependentAndOrderInsensitive) {
@@ -267,123 +284,7 @@ TEST(HistogramMetricMerge, MomentsAndClampInteraction) {
   EXPECT_TRUE(std::isinf(a.moments().max()));
 }
 
-// --- Tracer -----------------------------------------------------------
-
-/// Minimal structural JSON check: braces/brackets balance outside of
-/// string literals, and the document is a single object.
-void expect_balanced_json(const std::string& s) {
-  long depth = 0;
-  bool in_string = false, escaped = false;
-  for (char c : s) {
-    if (in_string) {
-      if (escaped) escaped = false;
-      else if (c == '\\') escaped = true;
-      else if (c == '"') in_string = false;
-      continue;
-    }
-    if (c == '"') in_string = true;
-    else if (c == '{' || c == '[') ++depth;
-    else if (c == '}' || c == ']') --depth;
-    ASSERT_GE(depth, 0);
-  }
-  EXPECT_FALSE(in_string);
-  EXPECT_EQ(depth, 0);
-  ASSERT_FALSE(s.empty());
-  EXPECT_EQ(s.front(), '{');
-  EXPECT_EQ(s.back(), '}');
-}
-
-TEST(Tracer, RecordsInstantsSpansAndCounters) {
-  obs::Tracer tracer(16);
-  tracer.instant(SimTime(1000), "hello", "test");
-  tracer.complete(SimTime(2000), SimTime(5000), "work", "test",
-                  "\"n\":3");
-  tracer.counter(SimTime(6000), "queue", "depth", 4);
-  ASSERT_EQ(tracer.size(), 3u);
-  auto events = tracer.events();
-  EXPECT_EQ(events[0].phase, 'i');
-  EXPECT_EQ(events[0].name, "hello");
-  EXPECT_EQ(events[1].phase, 'X');
-  EXPECT_EQ(events[1].dur.count(), 3000);
-  EXPECT_EQ(events[2].phase, 'C');
-  EXPECT_EQ(events[2].args_json, "\"depth\":4");
-}
-
-TEST(Tracer, RingBufferWraparoundKeepsNewest) {
-  obs::Tracer tracer(4);
-  for (int i = 0; i < 10; ++i) {
-    tracer.instant(SimTime(i * 100), "e" + std::to_string(i), "test");
-  }
-  EXPECT_EQ(tracer.size(), 4u);
-  EXPECT_EQ(tracer.dropped(), 6u);
-  auto events = tracer.events();
-  ASSERT_EQ(events.size(), 4u);
-  // Oldest retained is e6; order is chronological.
-  EXPECT_EQ(events.front().name, "e6");
-  EXPECT_EQ(events.back().name, "e9");
-  tracer.clear();
-  EXPECT_EQ(tracer.size(), 0u);
-  EXPECT_EQ(tracer.dropped(), 0u);
-}
-
-TEST(Tracer, ExportAfterWrapIsDeterministic) {
-  auto build = [] {
-    obs::Tracer tracer(8);
-    for (int i = 0; i < 50; ++i) {
-      tracer.instant(SimTime(i * 100), "e" + std::to_string(i), "wrap");
-    }
-    return tracer.to_chrome_json();
-  };
-  std::string first = build();
-  EXPECT_EQ(first, build());
-  EXPECT_NE(first.find("\"dropped\":42"), std::string::npos);
-  // Only the newest window survives the wrap.
-  EXPECT_EQ(first.find("\"e41\""), std::string::npos);
-  EXPECT_NE(first.find("\"e42\""), std::string::npos);
-  EXPECT_NE(first.find("\"e49\""), std::string::npos);
-}
-
-TEST(Tracer, ChromeExportIsWellFormed) {
-  obs::Tracer tracer(8);
-  tracer.instant(SimTime(1500), "na\"me", "cat");  // escaping exercised
-  tracer.complete(SimTime(0), SimTime(2'500'000), "span", "c2");
-  std::string json = tracer.to_chrome_json();
-  expect_balanced_json(json);
-  EXPECT_EQ(json.rfind("{\"traceEvents\":[", 0), 0u);
-  // Sim nanoseconds render as microseconds with three decimals.
-  EXPECT_NE(json.find("\"ts\":1.500"), std::string::npos);
-  EXPECT_NE(json.find("\"dur\":2500.000"), std::string::npos);
-  EXPECT_NE(json.find("na\\\"me"), std::string::npos);
-  EXPECT_NE(json.find("\"dropped\":0"), std::string::npos);
-}
-
-TEST(Tracer, DisabledTracerRecordsNothing) {
-  obs::Tracer tracer(8);
-  tracer.set_enabled(false);
-  tracer.instant(SimTime(1), "x", "y");
-  {
-    obs::ScopedSpan span(&tracer, "s", "c");
-  }
-  obs::ScopedSpan null_span(nullptr, "s", "c");  // must not crash
-  EXPECT_EQ(tracer.size(), 0u);
-}
-
-TEST(Tracer, ScopedSpanUsesTheClock) {
-  obs::Tracer tracer(8);
-  SimTime fake(1000);
-  tracer.set_clock([&fake] { return fake; });
-  {
-    obs::ScopedSpan span(&tracer, "phase", "test");
-    fake = SimTime(4000);
-  }
-  ASSERT_EQ(tracer.size(), 1u);
-  auto ev = tracer.events()[0];
-  EXPECT_EQ(ev.phase, 'X');
-  EXPECT_EQ(ev.ts.count(), 1000);
-  EXPECT_EQ(ev.dur.count(), 3000);
-}
-
-// --- Lazy rings: differential against an eager reference --------------
+// --- Lazy rings -------------------------------------------------------
 
 TEST(ChunkedRing, AllocatesNothingUntilTheFirstPush) {
   constexpr size_t kChunk = obs::ChunkedRing<int>::kChunk;
@@ -404,147 +305,23 @@ TEST(ChunkedRing, AllocatesNothingUntilTheFirstPush) {
   EXPECT_EQ(ring.chunks(), 1u);
   EXPECT_EQ(ring.front(), 7);
 
-  // A disabled tracer never touches its ring.
-  obs::Tracer tracer;
-  tracer.set_enabled(false);
-  tracer.instant(SimTime(1), "x", "y");
-  EXPECT_EQ(tracer.capacity(), size_t{1} << 16);
-  EXPECT_EQ(tracer.size(), 0u);
-}
-
-namespace {
-
-/// The eager flight recorder the tracer's ring replaced.
-struct RefTracer {
-  explicit RefTracer(size_t cap) : capacity(cap) {}
-
-  size_t capacity;
-  std::deque<obs::TraceEvent> ring;
-  uint64_t dropped = 0;
-
-  void push(obs::TraceEvent ev) {
-    if (ring.size() == capacity) {
-      ring.pop_front();
-      ++dropped;
-    }
-    ring.push_back(std::move(ev));
-  }
-  std::string to_chrome_json() const {
-    auto micros = [](int64_t nanos) {
-      return common::format("%lld.%03lld", static_cast<long long>(nanos / 1000),
-                            static_cast<long long>(nanos % 1000));
-    };
-    std::string out = "{\"traceEvents\":[";
-    for (size_t i = 0; i < ring.size(); ++i) {
-      const obs::TraceEvent& ev = ring[i];
-      out += std::string(i ? "," : "") + "{\"name\":\"" + ev.name +
-             "\",\"ph\":\"" + ev.phase + "\",\"ts\":" +
-             micros(ev.ts.count());
-      if (ev.phase == 'X') out += ",\"dur\":" + micros(ev.dur.count());
-      if (!ev.cat.empty()) out += ",\"cat\":\"" + ev.cat + "\"";
-      out += ",\"pid\":1,\"tid\":1";
-      if (ev.phase == 'i') out += ",\"s\":\"t\"";
-      if (!ev.args_json.empty()) out += ",\"args\":{" + ev.args_json + "}";
-      out += "}";
-    }
-    return out + "],\"displayTimeUnit\":\"ms\",\"otherData\":{" +
-           "\"clock\":\"sim\",\"dropped\":" + std::to_string(dropped) +
-           "}}";
-  }
-};
-
-void expect_same_trace(const obs::Tracer& t, const RefTracer& ref) {
-  ASSERT_EQ(t.size(), ref.ring.size());
-  ASSERT_EQ(t.dropped(), ref.dropped);
-  auto events = t.events();
-  ASSERT_EQ(events.size(), ref.ring.size());
-  for (size_t i = 0; i < events.size(); ++i) {
-    ASSERT_EQ(events[i].ts, ref.ring[i].ts);
-    ASSERT_EQ(events[i].dur, ref.ring[i].dur);
-    ASSERT_EQ(events[i].phase, ref.ring[i].phase);
-    ASSERT_EQ(events[i].name, ref.ring[i].name);
-    ASSERT_EQ(events[i].cat, ref.ring[i].cat);
-    ASSERT_EQ(events[i].args_json, ref.ring[i].args_json);
-  }
-  ASSERT_EQ(t.to_chrome_json(), ref.to_chrome_json());
-}
-
-void trace_step(obs::Tracer& t, RefTracer& ref, uint64_t step) {
-  const SimTime ts(static_cast<int64_t>(step * 1000 + step % 7));
-  const std::string name = "e" + std::to_string(step);
-  if (step % 3 == 0) {
-    t.complete(ts, ts + Duration(static_cast<int64_t>(step * 11)), name,
-               "span", "\"n\":" + std::to_string(step));
-    ref.push(obs::TraceEvent{ts, Duration(static_cast<int64_t>(step * 11)),
-                             'X', name, "span",
-                             "\"n\":" + std::to_string(step)});
-  } else {
-    t.instant(ts, name, step % 2 ? "" : "inst");
-    ref.push(obs::TraceEvent{ts, Duration{}, 'i', name,
-                             step % 2 ? "" : "inst", ""});
-  }
-}
-
-}  // namespace
-
-class TracerRingSweep : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(TracerRingSweep, MatchesEagerReferenceAtEveryRecordCount) {
-  const size_t cap = GetParam();
-  obs::Tracer tracer(cap);
-  RefTracer ref{cap};
-  EXPECT_EQ(tracer.capacity(), cap);
-  expect_same_trace(tracer, ref);
-  for (uint64_t step = 0; step < 3 * cap; ++step) {
-    trace_step(tracer, ref, step);
-    expect_same_trace(tracer, ref);
-    if (HasFatalFailure()) return;
-  }
-}
-
-// 1, 2, 3, 7, 64 and the chunk size - 1, exactly, + 1.
-INSTANTIATE_TEST_SUITE_P(
-    Capacities, TracerRingSweep,
-    ::testing::Values(size_t{1}, size_t{2}, size_t{3}, size_t{7}, size_t{64},
-                      obs::ChunkedRing<obs::TraceEvent>::kChunk - 1,
-                      obs::ChunkedRing<obs::TraceEvent>::kChunk,
-                      obs::ChunkedRing<obs::TraceEvent>::kChunk + 1));
-
-TEST(TracerRing, ClearThenReuseAndLateEnable) {
-  obs::Tracer tracer(5);
-  tracer.set_enabled(false);
-  tracer.instant(SimTime(1), "ignored", "x");
-  tracer.set_enabled(true);
-  RefTracer ref{5};
-  uint64_t step = 0;
-  for (int round = 0; round < 3; ++round) {
-    for (int i = 0; i < 12; ++i) trace_step(tracer, ref, step++);
-    expect_same_trace(tracer, ref);
-    tracer.clear();
-    ref = RefTracer{5};
-    expect_same_trace(tracer, ref);
-  }
+  // A disabled provenance graph never touches its ring.
+  obs::ProvenanceGraph graph;
+  graph.set_enabled(false);
+  EXPECT_EQ(graph.record(obs::ProvKind::Evidence, SimTime(1), 0, 0, "x"), 0u);
+  EXPECT_EQ(graph.capacity(), size_t{1} << 16);
+  EXPECT_EQ(graph.size(), 0u);
 }
 
 // --- netsim::Engine instrumentation -----------------------------------
 
 TEST(EngineObservability, PerEventTraceAndMetricsExport) {
   netsim::Engine engine;
-  obs::Tracer tracer(64);
-  engine.set_tracer(&tracer);
   int fired = 0;
   engine.schedule(Duration::millis(1), [&] { ++fired; });
   engine.schedule(Duration::millis(2), [&] { ++fired; });
   engine.run_until(SimTime(Duration::millis(5).count()));
   EXPECT_EQ(fired, 2);
-  // 2 instants + 1 run_until span.
-  EXPECT_EQ(tracer.size(), 3u);
-  auto events = tracer.events();
-  EXPECT_EQ(events[0].name, "event");
-  EXPECT_EQ(events[2].name, "run_until");
-  EXPECT_EQ(events[2].args_json, "\"events\":2");
-  // The tracer's clock is the engine's clock.
-  EXPECT_EQ(tracer.now(), engine.now());
 
   obs::Registry reg;
   engine.export_metrics(reg);
@@ -665,6 +442,7 @@ core::TestbedConfig observed_config() {
   config.policy.blocked_ips.push_back(core::TestbedAddresses{}.web_blocked);
   config.neighbor_count = 4;
   config.enable_observability = true;
+  config.enable_provenance = true;
   return config;
 }
 
@@ -684,13 +462,13 @@ TEST(ObservedCampaign, SameSeedSnapshotsAreByteIdentical) {
     run_scan(tb);
     json[i] = tb.metrics_json();
     prom[i] = tb.metrics_snapshot().to_prometheus();
-    trace[i] = tb.tracer().to_chrome_json();
+    trace[i] = obs::chrome_trace(tb.provenance());
   }
   EXPECT_EQ(json[0], json[1]);
   EXPECT_EQ(prom[0], prom[1]);
   EXPECT_EQ(trace[0], trace[1]);
-  expect_balanced_json(json[0]);
-  expect_balanced_json(trace[0]);
+  EXPECT_TRUE(simcheck::Json::parse(json[0]).has_value());
+  EXPECT_TRUE(simcheck::Json::parse(trace[0]).has_value());
   // The snapshot bridged every layer.
   EXPECT_NE(json[0].find("sm_netsim_events_executed_total"),
             std::string::npos);
@@ -713,6 +491,7 @@ TEST(ObservedCampaign, EnablingObservabilityChangesNoBehaviour) {
   core::TestbedConfig on = observed_config();
   core::TestbedConfig off = observed_config();
   off.enable_observability = false;
+  off.enable_provenance = false;
 
   core::Testbed tb_on(on);
   core::Testbed tb_off(off);
@@ -732,7 +511,7 @@ TEST(ObservedCampaign, EnablingObservabilityChangesNoBehaviour) {
 
   // And the disabled side exported nothing.
   EXPECT_EQ(tb_off.metrics_json(), "{\"metrics\":[]}");
-  EXPECT_EQ(tb_off.tracer().size(), 0u);
+  EXPECT_EQ(tb_off.provenance().size(), 0u);
 }
 
 // --- Surveillance export goldens --------------------------------------

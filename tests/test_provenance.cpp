@@ -1,5 +1,6 @@
 // The provenance layer: causal event graph, alert attribution, the
-// explain narrative, and the end-to-end byte-determinism contract.
+// explain narrative, the Chrome trace renderer, and the end-to-end
+// byte-determinism contract.
 //
 // The graph is the observability tentpole behind every verdict: probe
 // attempts cause packets, packets cause per-hop and tap events, stored
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <deque>
 #include <fstream>
@@ -27,10 +29,12 @@
 #include "core/overt.hpp"
 #include "core/ping.hpp"
 #include "core/probe.hpp"
+#include "core/scan.hpp"
 #include "core/risk.hpp"
 #include "core/synprobe.hpp"
 #include "common/strings.hpp"
 #include "obs/provenance.hpp"
+#include "simcheck/json.hpp"
 
 using namespace sm;
 using common::SimTime;
@@ -773,6 +777,177 @@ TEST(ProvenanceTestbed, MetricsGaugesExportedOnlyWhenEnabled) {
   core::OvertDnsProbe probe2(tb2, {.domain = "open.example"});
   core::run_probe(tb2, probe2);
   EXPECT_EQ(tb2.metrics_json().find("sm_provenance"), std::string::npos);
+}
+
+// --- Chrome trace rendering -------------------------------------------
+
+namespace {
+
+using simcheck::Json;
+
+/// trace_event microseconds (three decimals) back to sim nanoseconds.
+int64_t nanos(const Json& micros) {
+  return std::llround(micros.as_double() * 1000.0);
+}
+
+struct Span {
+  uint64_t id, cause;
+  int64_t begin, end;
+};
+
+/// The complete ("X") spans named `name`, in trace order.
+std::vector<Span> spans_named(const Json& trace, std::string_view name) {
+  std::vector<Span> out;
+  for (const Json& ev : trace.get("traceEvents")->items()) {
+    if (ev.get("ph")->as_string() != "X" ||
+        ev.get("name")->as_string() != name)
+      continue;
+    const Json* args = ev.get("args");
+    const int64_t begin = nanos(*ev.get("ts"));
+    out.push_back({static_cast<uint64_t>(args->get("id")->as_int()),
+                   static_cast<uint64_t>(args->get("cause")->as_int()), begin,
+                   begin + nanos(*ev.get("dur"))});
+  }
+  return out;
+}
+
+std::string scan_trace(size_t provenance_capacity) {
+  core::TestbedConfig cfg = prov_config();
+  cfg.provenance_capacity = provenance_capacity;
+  cfg.neighbor_count = 4;
+  // Null-route the target: every port stays silent, so every retry round
+  // runs (the quickstart's scenario, with retries).
+  cfg.policy.blocked_ips.push_back(core::TestbedAddresses{}.web_blocked);
+  core::Testbed tb(cfg);
+  core::ScanOptions options;
+  options.target = tb.addr().web_blocked;
+  options.ports = core::top_tcp_ports(20);
+  options.retry.max_attempts = 3;
+  core::ScanProbe probe(tb, options);
+  core::run_probe(tb, probe);
+  return obs::chrome_trace(tb.provenance());
+}
+
+}  // namespace
+
+TEST(ChromeTrace, ScanNestsEveryAttemptInsideTheProbeSpan) {
+  const std::string text = scan_trace(1 << 16);
+  const auto trace = Json::parse(text);
+  ASSERT_TRUE(trace.has_value()) << text.substr(0, 400);
+  const std::vector<Span> probes = spans_named(*trace, "probe:scan");
+  ASSERT_EQ(probes.size(), 1u);
+  const Span& probe = probes[0];
+  EXPECT_GT(probe.end, probe.begin);
+  const std::vector<Span> attempts = spans_named(*trace, "attempt");
+  ASSERT_GE(attempts.size(), 2u);  // the scan retries silent ports
+  for (size_t i = 0; i < attempts.size(); ++i) {
+    const Span& a = attempts[i];
+    EXPECT_EQ(a.cause, probe.id);
+    EXPECT_GE(a.begin, probe.begin) << "attempt " << a.id;
+    EXPECT_LE(a.end, probe.end) << "attempt " << a.id;
+    // Attempts tile the probe: each ends where the next begins.
+    if (i + 1 < attempts.size()) {
+      EXPECT_EQ(a.end, attempts[i + 1].begin);
+    }
+  }
+  EXPECT_EQ(attempts.back().end, probe.end);  // the last one ends at the verdict
+
+  // Everything else is an instant carrying the full causal record.
+  bool saw_verdict = false;
+  for (const Json& ev : trace->get("traceEvents")->items()) {
+    if (ev.get("ph")->as_string() == "X") continue;
+    EXPECT_EQ(ev.get("ph")->as_string(), "i");
+    const Json* args = ev.get("args");
+    for (const char* key : {"id", "cause", "packet", "what", "detail"}) {
+      EXPECT_NE(args->get(key), nullptr) << key;
+    }
+    if (ev.get("name")->as_string() == "verdict") {
+      saw_verdict = true;
+      EXPECT_EQ(nanos(*ev.get("ts")), probe.end);
+      EXPECT_EQ(static_cast<uint64_t>(args->get("cause")->as_int()),
+                probe.id);
+    }
+  }
+  EXPECT_TRUE(saw_verdict);
+  const Json* other = trace->get("otherData");
+  EXPECT_EQ(other->get("clock")->as_string(), "sim");
+  EXPECT_EQ(other->get("dropped")->as_int(), 0);
+}
+
+TEST(ChromeTrace, SameSeedRerunIsByteIdentical) {
+  const std::string first = scan_trace(1 << 16);
+  EXPECT_EQ(first, scan_trace(1 << 16));
+  // A wrapped ring renders deterministically too.
+  EXPECT_EQ(scan_trace(64), scan_trace(64));
+}
+
+TEST(ChromeTrace, WrappedRingReportsDropsAndClosesEverySpan) {
+  const std::string text = scan_trace(64);
+  const auto trace = Json::parse(text);
+  ASSERT_TRUE(trace.has_value());
+  const Json* other = trace->get("otherData");
+  EXPECT_GT(other->get("dropped")->as_int(), 0);
+  EXPECT_EQ(other->get("dropped")->as_int() + 64, other->get("total")->as_int());
+  EXPECT_EQ(trace->get("traceEvents")->items().size(), 64u);
+
+  // Hand-built: probe A's start falls off the ring, probe B never gets a
+  // verdict. Event i is recorded at i microseconds of sim time.
+  ProvenanceGraph g(8);
+  auto at = [](int us) { return SimTime(int64_t{us} * 1000); };
+  const uint64_t a = g.record(ProvKind::ProbeStart, at(1), 0, 0, "scan");
+  const uint64_t a1 = g.record(ProvKind::Attempt, at(2), a, 0, "attempt", "1");
+  g.record(ProvKind::PacketSent, at(3), a1, 0, "tcp");
+  g.record_verdict(at(4), a, "reachable", "open", {});
+  const uint64_t b = g.record(ProvKind::ProbeStart, at(5), 0, 0, "ping");
+  const uint64_t b1 = g.record(ProvKind::Attempt, at(6), b, 0, "attempt", "1");
+  g.record(ProvKind::PacketSent, at(7), b1, 0, "icmp");
+  const uint64_t b2 = g.record(ProvKind::Attempt, at(8), b, 0, "attempt", "2");
+  g.record(ProvKind::PacketSent, at(9), b2, 0, "icmp\t\"x\"");
+  ASSERT_EQ(g.dropped(), 1u);  // probe A's start
+
+  const std::string hand = obs::chrome_trace(g);
+  const auto parsed = Json::parse(hand);
+  ASSERT_TRUE(parsed.has_value()) << hand;
+  EXPECT_EQ(parsed->get("otherData")->get("dropped")->as_int(), 1);
+  EXPECT_EQ(parsed->get("otherData")->get("total")->as_int(), 9);
+  EXPECT_TRUE(spans_named(*parsed, "probe:scan").empty());
+  const std::vector<Span> probes = spans_named(*parsed, "probe:ping");
+  ASSERT_EQ(probes.size(), 1u);
+  EXPECT_EQ(probes[0].end, 9000);  // no verdict: the newest event closes it
+  const std::vector<Span> attempts = spans_named(*parsed, "attempt");
+  ASSERT_EQ(attempts.size(), 3u);
+  EXPECT_EQ(attempts[0].id, a1);  // its start was evicted, its verdict was not
+  EXPECT_EQ(attempts[0].end, 4000);
+  EXPECT_EQ(attempts[1].end, 8000);  // ends where the next attempt begins
+  EXPECT_EQ(attempts[2].end, 9000);
+  EXPECT_NE(hand.find("\"ts\":9.000"), std::string::npos);
+  EXPECT_NE(hand.find("\"what\":\"icmp\\t\\\"x\\\"\""), std::string::npos);
+
+  // An empty graph still renders a loadable trace.
+  const auto empty = Json::parse(obs::chrome_trace(ProvenanceGraph(4)));
+  ASSERT_TRUE(empty.has_value());
+  EXPECT_TRUE(empty->get("traceEvents")->items().empty());
+}
+
+TEST(ProvenanceGraph, JsonExportsEscapeEveryControlByte) {
+  // A qname decoded from the wire keeps its raw label bytes, so a
+  // dns-forgery detail can carry any byte; both exports must stay strict
+  // JSON and read back to the original text.
+  const std::string qname("a\tb\x01.twitter.com");
+  ProvenanceGraph g;
+  g.record(ProvKind::CensorAction, SimTime(0), 0, 0, "dns-forgery", qname);
+  for (const std::string& json : {g.to_json(), obs::chrome_trace(g)}) {
+    for (unsigned char c : json) ASSERT_GE(c, 0x20) << json;
+    const auto doc = Json::parse(json);
+    ASSERT_TRUE(doc.has_value()) << json;
+    const Json* events = doc->get("events");
+    const Json& ev = events != nullptr ? events->items().at(0)
+                                       : *doc->get("traceEvents")
+                                              ->items()
+                                              .at(0)
+                                              .get("args");
+    EXPECT_EQ(ev.get("detail")->as_string(), qname);
+  }
 }
 
 // --- Campaign integration ---------------------------------------------
