@@ -20,11 +20,14 @@
 // It also records the fixed per-trial cost a campaign pays around each
 // probe: testbed build and teardown with observability and provenance
 // off (how every E2 trial runs) and with both on, next to one run_probe
-// on the same testbed (the mean over the eight E2 techniques).
-// tools/perf_smoke.py gates two contrasts on them: building with both
-// layers on costs at most 2x building with them off (their rings
-// allocate on demand), and a disabled build+teardown costs no more than
-// the probe it hosts.
+// on the same testbed (the mean over the eight E2 techniques), and, on
+// the observed testbed after its probe, the first metrics_snapshot()
+// (every series registered anew, as simcheck does per trial) and that
+// snapshot's to_json(). tools/perf_smoke.py gates three contrasts on
+// them: building with both layers on costs at most 2x building with
+// them off (their rings allocate on demand), a disabled build+teardown
+// costs no more than the probe it hosts, and the observed snapshot plus
+// its JSON cost at most 15% of that probe.
 //
 // Exit code: 0 only if every run produced identical bytes.
 #include <time.h>
@@ -111,6 +114,8 @@ struct FixedCost {
   double build_ns = 0;
   double teardown_ns = 0;
   double run_probe_ns = 0;
+  double snapshot_ns = 0;      // 0 unless observability is on
+  double metrics_json_ns = 0;  // likewise
 };
 
 /// Thread CPU ns per testbed build, teardown and run_probe, averaged
@@ -122,9 +127,9 @@ FixedCost fixed_cost(const core::TestbedConfig& config) {
       bench::standard_techniques();
   constexpr int kBatches = 7, kRounds = 5;
   const int iters = kRounds * static_cast<int>(techniques.size());
-  FixedCost best{1e18, 1e18, 1e18};
+  FixedCost best{1e18, 1e18, 1e18, 1e18, 1e18};
   for (int b = 0; b < kBatches; ++b) {
-    int64_t build = 0, teardown = 0, probe = 0;
+    int64_t build = 0, teardown = 0, probe = 0, snapshot = 0, json = 0;
     for (int i = 0; i < iters; ++i) {
       const bench::ProbeFactory& factory =
           techniques[static_cast<size_t>(i) % techniques.size()].factory;
@@ -135,6 +140,14 @@ FixedCost fixed_cost(const core::TestbedConfig& config) {
       const int64_t t2 = thread_cpu_ns();
       core::run_probe(*tb, *p);
       const int64_t t3 = thread_cpu_ns();
+      if (config.enable_observability) {
+        const obs::Registry& reg = tb->metrics_snapshot();
+        const int64_t s1 = thread_cpu_ns();
+        const std::string text = reg.to_json();
+        const int64_t s2 = thread_cpu_ns();
+        snapshot += s1 - t3;
+        json += s2 - s1;
+      }
       p.reset();
       const int64_t t4 = thread_cpu_ns();
       tb.reset();
@@ -146,6 +159,8 @@ FixedCost fixed_cost(const core::TestbedConfig& config) {
     best.build_ns = std::min(best.build_ns, double(build) / iters);
     best.teardown_ns = std::min(best.teardown_ns, double(teardown) / iters);
     best.run_probe_ns = std::min(best.run_probe_ns, double(probe) / iters);
+    best.snapshot_ns = std::min(best.snapshot_ns, double(snapshot) / iters);
+    best.metrics_json_ns = std::min(best.metrics_json_ns, double(json) / iters);
   }
   return best;
 }
@@ -244,9 +259,11 @@ int main(int argc, char** argv) {
   std::printf("testbed fixed cost (thread CPU, obs+prov off / on):\n"
               "  build     %9.0f ns / %9.0f ns\n"
               "  teardown  %9.0f ns / %9.0f ns\n"
-              "  run_probe %9.0f ns (mean E2 technique, off)\n",
+              "  run_probe %9.0f ns (mean E2 technique, off)\n"
+              "  snapshot  %9.0f ns + to_json %.0f ns (on, after the probe)\n",
               cost_off.build_ns, cost_on.build_ns, cost_off.teardown_ns,
-              cost_on.teardown_ns, cost_off.run_probe_ns);
+              cost_on.teardown_ns, cost_off.run_probe_ns,
+              cost_on.snapshot_ns, cost_on.metrics_json_ns);
 
   std::printf("deterministic (byte-identical reports across -j, shard "
               "modes, and backends): %s\n",
@@ -260,11 +277,13 @@ int main(int argc, char** argv) {
                  "%s\"speedup_skipped\":[%s],\"fixed_cost\":{"
                  "\"build_off_ns\":%.0f,\"teardown_off_ns\":%.0f,"
                  "\"build_on_ns\":%.0f,\"teardown_on_ns\":%.0f,"
-                 "\"run_probe_ns\":%.0f},\"runs\":[",
+                 "\"run_probe_ns\":%.0f,\"snapshot_on_ns\":%.0f,"
+                 "\"metrics_json_on_ns\":%.0f},\"runs\":[",
                  trials.size(), hw, deterministic ? "true" : "false",
                  speedup_fields.c_str(), skipped_notes.c_str(),
                  cost_off.build_ns, cost_off.teardown_ns, cost_on.build_ns,
-                 cost_on.teardown_ns, cost_off.run_probe_ns);
+                 cost_on.teardown_ns, cost_off.run_probe_ns,
+                 cost_on.snapshot_ns, cost_on.metrics_json_ns);
     for (size_t i = 0; i < runs.size(); ++i) {
       std::fprintf(f,
                    "%s{\"threads\":%zu,\"hw_concurrency\":%zu,"

@@ -83,7 +83,9 @@ if [ "$STAGE" = "all" ] || [ "$STAGE" = "tsan" ]; then
   # across worker threads and byte-compares them, a racy-merge magnet.
   # CampaignResume/Checkpoint: the checkpoint writer is shared by the
   # whole worker pool behind one mutex — exactly the kind of surface
-  # TSan exists for.
+  # TSan exists for. Registry: every campaign worker fills its own
+  # metrics registry and the runner merges them after the join, so the
+  # registry's arena records and export writer get a race check too.
   # The v6 sweeps ride along too (PacketFuzz covers the Ipv6 cases,
   # Fragment6/Reassembler6/FastpathEquivalence add the fragment and IDS
   # dual-stack differentials): cheap, and mixed-family campaign
@@ -91,7 +93,7 @@ if [ "$STAGE" = "all" ] || [ "$STAGE" = "tsan" ]; then
   # pool surface.
   ctest --test-dir "$ROOT/build-tsan" --output-on-failure -j "$(nproc)" \
         --schedule-random \
-        -R '(Campaign|CampaignResume|Checkpoint|Logging|Merge|PacketFuzz|TimerWheel|PacketView|DeliveryPool|FlowTableHashed|ThresholdTable|Provenance|Fragment6|Reassembler6|FastpathEquivalence)'
+        -R '(Campaign|CampaignResume|Checkpoint|Logging|Merge|Registry|PacketFuzz|TimerWheel|PacketView|DeliveryPool|FlowTableHashed|ThresholdTable|Provenance|Fragment6|Reassembler6|FastpathEquivalence)'
 fi
 
 if [ "$STAGE" = "all" ] || [ "$STAGE" = "simcheck" ]; then

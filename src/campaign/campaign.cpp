@@ -147,7 +147,7 @@ void finalize_campaign(
     sim_seconds->observe(t.sim_elapsed.to_seconds());
     result.metrics
         ->counter("sm_campaign_trials_by_verdict_total",
-                  {{"verdict", std::string(core::to_string(t.report.verdict))}},
+                  {{"verdict", core::to_string(t.report.verdict)}},
                   "trials by final verdict")
         ->inc();
   }
@@ -175,15 +175,16 @@ void finalize_campaign(
     wall_hist->observe(t.wall_elapsed.to_seconds());
     walls.push_back(t.wall_elapsed.to_seconds());
     wall_index.push_back(t.index);
-    obs::Labels worker_label = {{"worker", std::to_string(t.worker)}};
+    const std::string worker = std::to_string(t.worker);
     result.telemetry
-        ->counter("sm_campaign_worker_trials_total", worker_label,
+        ->counter("sm_campaign_worker_trials_total", {{"worker", worker}},
                   "trials completed per worker")
         ->inc();
     // Integer nanoseconds: an integer counter fed seconds would truncate
     // every sub-second trial to 0.
     result.telemetry
-        ->counter("sm_campaign_worker_busy_nanoseconds_total", worker_label,
+        ->counter("sm_campaign_worker_busy_nanoseconds_total",
+                  {{"worker", worker}},
                   "host time each worker spent inside trials")
         ->inc(static_cast<uint64_t>(t.wall_elapsed.count()));
     struct {

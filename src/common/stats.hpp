@@ -3,6 +3,7 @@
 // histogram/percentile helpers.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -81,6 +82,11 @@ class Histogram {
   static Histogram from_parts(double lo, double hi,
                               std::vector<size_t> counts);
   void add(double x);
+  /// Zeroes every bin (shape and storage kept).
+  void clear() {
+    std::fill(counts_.begin(), counts_.end(), size_t{0});
+    total_ = 0;
+  }
   /// Adds `other`'s bin counts into this histogram. Both must have the
   /// same [lo, hi) range and bin count; throws std::invalid_argument
   /// otherwise. Edge-clamped samples (degenerate range, non-finite

@@ -122,29 +122,64 @@ std::string format(const char* fmt, ...) {
   return out;
 }
 
-void append_json_escaped(std::string& out, std::string_view s) {
-  size_t run = 0;  // start of the pending span of bytes that pass through
-  for (size_t i = 0; i < s.size(); ++i) {
-    const auto c = static_cast<unsigned char>(s[i]);
-    if (c >= 0x20 && c != '"' && c != '\\') continue;
-    out.append(s.data() + run, i - run);
-    run = i + 1;
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default: {
-        static constexpr char kHex[] = "0123456789abcdef";
-        const char u[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
-        out.append(u, sizeof u);
-      }
+namespace {
+
+/// The bytes RFC 8259 requires escaped inside a string.
+bool json_special(unsigned char c) { return c < 0x20 || c == '"' || c == '\\'; }
+
+/// The escape of byte `c` (written to `buf` when it needs one), or an
+/// empty view when `c` passes through unchanged.
+std::string_view json_escape_of(unsigned char c, char (&buf)[6]) {
+  if (!json_special(c)) return {};
+  switch (c) {
+    case '"': return "\\\"";
+    case '\\': return "\\\\";
+    case '\b': return "\\b";
+    case '\f': return "\\f";
+    case '\n': return "\\n";
+    case '\r': return "\\r";
+    case '\t': return "\\t";
+    default: {
+      static constexpr char kHex[] = "0123456789abcdef";
+      buf[0] = '\\';
+      buf[1] = 'u';
+      buf[2] = '0';
+      buf[3] = '0';
+      buf[4] = kHex[c >> 4];
+      buf[5] = kHex[c & 0xf];
+      return {buf, 6};
     }
   }
+}
+
+}  // namespace
+
+void append_json_escaped(std::string& out, std::string_view s) {
+  size_t run = 0;  // start of the pending span of bytes that pass through
+  char buf[6];
+  for (size_t i = 0; i < s.size(); ++i) {
+    const std::string_view esc =
+        json_escape_of(static_cast<unsigned char>(s[i]), buf);
+    if (esc.empty()) continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
+    out += esc;
+  }
   out.append(s.data() + run, s.size() - run);
+}
+
+char* write_json_escaped(char* out, std::string_view s) {
+  char buf[6];
+  for (char c : s) {
+    const std::string_view esc =
+        json_escape_of(static_cast<unsigned char>(c), buf);
+    if (esc.empty()) {
+      *out++ = c;
+    } else {
+      out = std::copy(esc.begin(), esc.end(), out);
+    }
+  }
+  return out;
 }
 
 std::string json_escape(std::string_view s) {

@@ -41,6 +41,9 @@ std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 /// other bytes, multibyte UTF-8 included, pass through. The one JSON
 /// string escaper: every JSON writer in the tree goes through it.
 void append_json_escaped(std::string& out, std::string_view s);
+/// The same escape written to `out`, which must have room for
+/// 6 * s.size() chars (a control byte becomes \u00XX); returns the end.
+char* write_json_escaped(char* out, std::string_view s);
 /// append_json_escaped() into a fresh string.
 std::string json_escape(std::string_view s);
 

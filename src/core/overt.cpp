@@ -10,23 +10,22 @@ ProbeReport run_probe(Testbed& tb, Probe& probe, common::Duration timeout) {
   ProbeReport report = probe.report();
   obs::Registry& reg = tb.metrics();
   if (reg.enabled()) {
-    obs::Labels labels = {{"technique", report.technique}};
-    reg.counter("sm_probe_runs_total", labels, "measurements executed")
-        ->inc();
+    auto count = [&](std::string_view metric, uint64_t n,
+                     std::string_view help) {
+      reg.counter(metric, {{"technique", report.technique}}, help)->inc(n);
+    };
+    count("sm_probe_runs_total", 1, "measurements executed");
     reg.counter("sm_probe_runs_by_verdict_total",
                 {{"technique", report.technique},
-                 {"verdict", std::string(to_string(report.verdict))}},
+                 {"verdict", to_string(report.verdict)}},
                 "measurements by final verdict")
         ->inc();
-    reg.counter("sm_probe_packets_sent_total", labels,
-                "probe packets transmitted")
-        ->inc(report.packets_sent);
-    reg.counter("sm_probe_samples_total", labels,
-                "sub-measurements taken (ports, requests, ...)")
-        ->inc(report.samples);
-    reg.counter("sm_probe_samples_blocked_total", labels,
-                "sub-measurements that observed blocking")
-        ->inc(report.samples_blocked);
+    count("sm_probe_packets_sent_total", report.packets_sent,
+          "probe packets transmitted");
+    count("sm_probe_samples_total", report.samples,
+          "sub-measurements taken (ports, requests, ...)");
+    count("sm_probe_samples_blocked_total", report.samples_blocked,
+          "sub-measurements that observed blocking");
   }
   return report;
 }

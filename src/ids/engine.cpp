@@ -352,10 +352,9 @@ Verdict Engine::process(SimTime now, const packet::Decoded& d) {
 
 void Engine::export_metrics(obs::Registry& registry,
                             std::string_view instance) const {
-  obs::Labels labels = {{"instance", std::string(instance)}};
   auto set = [&](std::string_view metric, uint64_t value,
                  std::string_view help) {
-    registry.counter(metric, labels, help)->set(value);
+    registry.counter(metric, {{"instance", instance}}, help)->set(value);
   };
   set("sm_ids_packets_total", stats_.packets,
       "packets run through the signature engine");
@@ -373,10 +372,11 @@ void Engine::export_metrics(obs::Registry& registry,
   set("sm_ids_stream_scans_total", stats_.stream_scans,
       "lazy passes over reassembled streams");
   registry
-      .gauge("sm_ids_rules", labels, "compiled rules in the engine")
+      .gauge("sm_ids_rules", {{"instance", instance}},
+             "compiled rules in the engine")
       ->set(static_cast<double>(rules_.size()));
   registry
-      .gauge("sm_ids_flow_buffered_bytes", labels,
+      .gauge("sm_ids_flow_buffered_bytes", {{"instance", instance}},
              "bytes of stream-reassembly state held")
       ->set(static_cast<double>(flows_.buffered_bytes()));
 }

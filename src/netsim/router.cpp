@@ -251,10 +251,9 @@ void Router::forward(packet::Packet packet, const packet::Decoded& decoded,
 }
 
 void Router::export_metrics(obs::Registry& registry) const {
-  obs::Labels labels = {{"router", name()}};
   auto set = [&](std::string_view metric, uint64_t value,
                  std::string_view help) {
-    registry.counter(metric, labels, help)->set(value);
+    registry.counter(metric, {{"router", name()}}, help)->set(value);
   };
   set("sm_router_forwarded_total", counters_.forwarded,
       "packets forwarded through the router");

@@ -4,8 +4,8 @@
 // The simulator's whole argument rests on counting what the adversary
 // sees (alerts stored, probes RSTed, bytes retained), so those counts
 // need one common, machine-readable export path. Everything here is
-// deterministic: series are held in ordered maps keyed by (name, sorted
-// labels), values come only from simulation state, and no wall-clock or
+// deterministic: exports walk the series sorted by (name, labels),
+// values come only from simulation state, and no wall-clock or
 // address-dependent data ever enters a snapshot — two runs with the same
 // seed serialize byte-identically.
 //
@@ -13,25 +13,35 @@
 // their existing cheap struct counters (ids::Engine::Stats, Router::
 // Counters, ...) and bridge them into the registry only at snapshot
 // time via their export_metrics() methods, so a disabled registry costs
-// the hot paths nothing at all.
+// the hot paths nothing at all. The bridges re-register every series on
+// each snapshot, so lookup and export are built to allocate nothing once
+// a series exists: series records live in the registry's arena with
+// their values inline, names and labels are looked up as views, and
+// exports append numbers with std::to_chars into one reserved buffer.
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "common/arena.hpp"
 #include "common/bytes.hpp"
 #include "common/stats.hpp"
 
 namespace sm::obs {
 
-/// Label set for one series. Order-insensitive: the registry sorts by
-/// key before using the set as part of the series identity.
-using Labels = std::vector<std::pair<std::string, std::string>>;
+/// One label as (key, value) views. The series accessors take a label
+/// set as a braced list of these, usually written inline:
+///   reg.counter("sm_ids_packets_total", {{"instance", name}}, help)
+/// The viewed text only has to outlive the call; the registry copies it
+/// when the call creates a series. Order-insensitive: the registry sorts
+/// by (key, value) before using the set as part of the series identity.
+using Label = std::pair<std::string_view, std::string_view>;
+using Labels = std::initializer_list<Label>;
 
 /// Monotonically increasing count. `set()` exists for the pull-model
 /// bridges, which copy an already-cumulative subsystem counter into the
@@ -69,11 +79,12 @@ class HistogramMetric {
     moments_.add(x);
   }
 
-  /// Drops all observations (shape kept). Pull-model bridges that rebuild
-  /// a distribution from current state (e.g. per-dossier scores) call
-  /// this first so repeated snapshots stay idempotent.
+  /// Drops all observations (shape and bin storage kept). Pull-model
+  /// bridges that rebuild a distribution from current state (e.g.
+  /// per-dossier scores) call this first so repeated snapshots stay
+  /// idempotent.
   void reset() {
-    hist_ = common::Histogram(lo_, hi_, hist_.bins().size());
+    hist_.clear();
     moments_ = common::OnlineStats{};
   }
 
@@ -120,9 +131,10 @@ class HistogramMetric {
 /// metric name with a different kind or histogram shape throws
 /// std::invalid_argument (programmer error).
 ///
-/// A disabled registry hands out shared dummy series instead: writes go
-/// to a sink nobody reads and snapshots are empty, so "observability
-/// off" needs no branches at the instrumentation sites.
+/// A disabled registry hands out dummy series instead: writes go to a
+/// sink nobody reads and snapshots are empty, so "observability off"
+/// needs no branches at the instrumentation sites. Constructing a
+/// registry allocates nothing; the first series does.
 class Registry {
  public:
   Registry() = default;
@@ -141,7 +153,7 @@ class Registry {
                              std::string_view help = "");
 
   /// Number of registered (name, labels) series.
-  size_t series_count() const;
+  size_t series_count() const { return order_.size(); }
 
   /// Folds every series of `other` into this registry: counters and
   /// gauges add, histograms merge() bin-wise; series missing here are
@@ -158,10 +170,12 @@ class Registry {
   ///   {"metrics":[{"name":"sm_ids_packets_total",
   ///                "labels":{"instance":"mvr"},
   ///                "kind":"counter","value":12}, ...]}
+  /// Non-finite gauge and histogram values export as `null`.
   std::string to_json() const;
 
   /// Prometheus text exposition (one # HELP / # TYPE pair per family;
   /// histograms emit cumulative _bucket{le=...}, _sum, _count).
+  /// Non-finite values use the exposition spellings +Inf, -Inf and NaN.
   std::string to_prometheus() const;
 
   /// Exact binary snapshot (campaign checkpoint codec): every family,
@@ -174,33 +188,61 @@ class Registry {
   static std::unique_ptr<Registry> decode(common::ByteReader& r);
 
  private:
-  enum class Kind { Counter, Gauge, Histogram };
+  enum class Kind : uint8_t { Counter, Gauge, Histogram };
 
-  struct Series {
-    Labels labels;  // sorted by key
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<HistogramMetric> histogram;
-  };
+  // Families and series are arena records (trivially destructible; the
+  // arena frees them with the registry), so their addresses — and the
+  // handles into them — never move. Their text lives in the same arena.
   struct Family {
+    std::string_view name;
+    std::string_view help;
     Kind kind = Kind::Counter;
-    std::string help;
-    std::map<std::string, Series> series;  // keyed by canonical label string
+  };
+  struct Series {
+    std::string_view name;  // the family's, kept here for the search
+    Family* family = nullptr;
+    const Label* labels = nullptr;  // sorted by (key, value)
+    size_t label_count = 0;
+    std::string_view key;  // canonical `k="v",...`; empty when unlabeled
+    Counter counter;
+    Gauge gauge;
+    HistogramMetric* histogram = nullptr;  // owned by histograms_
+  };
+  /// A series identity as lookups see it: the name, the canonical label
+  /// rendering, and the label set in canonical order.
+  struct Key {
+    std::string_view name;
+    std::string_view text;
+    const Label* labels = nullptr;
+    size_t label_count = 0;
   };
 
-  Family& family(std::string_view name, Kind kind, std::string_view help);
-  Series& series(Family& fam, Labels labels);
+  /// Finds or creates the series and returns its index in order_; checks
+  /// the family's kind and fills in a missing help text. Every series
+  /// before index `from` must order before `key` (merge() walks a sorted
+  /// registry and passes the last index + 1, so each step is O(1) when
+  /// the shapes match).
+  size_t series(const Key& key, Kind kind, std::string_view help,
+                size_t from = 0);
+  /// The same for a label set in any order.
+  Series& series(std::string_view name, Kind kind, std::string_view help,
+                 const Label* labels, size_t n);
+  /// The series' histogram, made with this shape on first use; throws
+  /// std::invalid_argument when an existing one has another shape.
+  HistogramMetric* shaped(Series& s, std::string_view name, double lo,
+                          double hi, size_t bins);
+  size_t export_size_hint(bool prometheus) const;
 
   bool enabled_ = true;
-  std::map<std::string, Family> families_;
-  // Shared sinks handed out while disabled.
+  common::Arena arena_{8192};
+  // Every series, sorted by (name, key, labels): the export order and the
+  // lookup index (binary search), with each family's series adjacent.
+  std::vector<Series*> order_;
+  std::vector<std::unique_ptr<HistogramMetric>> histograms_;
+  // Sinks handed out while disabled (the histogram made on first use).
   Counter dummy_counter_;
   Gauge dummy_gauge_;
-  HistogramMetric dummy_histogram_{0.0, 1.0, 1};
+  std::unique_ptr<HistogramMetric> dummy_histogram_;
 };
-
-/// Canonical `k="v",k2="v2"` rendering of a sorted label set (empty
-/// string for no labels). Exposed for tests.
-std::string labels_key(const Labels& labels);
 
 }  // namespace sm::obs

@@ -21,7 +21,7 @@ void reset_copy_counters() {
 void export_copy_metrics(obs::Registry& registry) {
   auto set = [&](std::string_view site, uint64_t value) {
     registry
-        .counter("sm_packet_copies_total", {{"site", std::string(site)}},
+        .counter("sm_packet_copies_total", {{"site", site}},
                  "packet payload copies, by reason (hop must stay 0)")
         ->set(value);
   };

@@ -241,6 +241,8 @@ struct Parser {
           default:
             return std::nullopt;
         }
+      } else if (static_cast<unsigned char>(c) < 0x20) {
+        return std::nullopt;  // RFC 8259: control bytes must be escaped
       } else {
         out += c;
       }

@@ -187,12 +187,13 @@ void MvrTap::export_metrics(obs::Registry& registry) const {
       ->set(retained_fraction());
   auto store_gauges = [&](std::string_view which, size_t items,
                           uint64_t bytes) {
-    obs::Labels labels = {{"store", std::string(which)}};
     registry
-        .gauge("sm_mvr_store_items", labels, "items held in retention store")
+        .gauge("sm_mvr_store_items", {{"store", which}},
+               "items held in retention store")
         ->set(static_cast<double>(items));
     registry
-        .gauge("sm_mvr_store_bytes", labels, "bytes held in retention store")
+        .gauge("sm_mvr_store_bytes", {{"store", which}},
+               "bytes held in retention store")
         ->set(static_cast<double>(bytes));
   };
   store_gauges("content", content_.count(), content_.bytes());

@@ -9,7 +9,9 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <memory>
+#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -29,11 +31,40 @@
 #include "simcheck/json.hpp"
 #include "surveillance/mvr.hpp"
 
+// Counting global operator new: a test arms it with a CountNews scope to
+// assert that a code path allocates nothing. Unarmed, it only forwards to
+// malloc/free.
+namespace {
+thread_local size_t* g_new_calls = nullptr;
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (g_new_calls != nullptr) ++*g_new_calls;
+  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+// GCC cannot see that this operator new is malloc, so it would flag the
+// free() below as mismatched wherever a delete is inlined.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
+
 namespace sm {
 namespace {
 
 using common::Duration;
 using common::SimTime;
+
+/// Counts this thread's operator new calls for its lifetime.
+struct CountNews {
+  size_t calls = 0;
+  CountNews() { g_new_calls = &calls; }
+  ~CountNews() { g_new_calls = nullptr; }
+  CountNews(const CountNews&) = delete;
+  CountNews& operator=(const CountNews&) = delete;
+};
 
 // --- Registry ---------------------------------------------------------
 
@@ -191,6 +222,155 @@ TEST(Registry, DisabledRegistryIsANoOpSink) {
   EXPECT_EQ(reg.series_count(), 0u);
   EXPECT_EQ(reg.to_json(), "{\"metrics\":[]}");
   EXPECT_EQ(reg.to_prometheus(), "");
+}
+
+TEST(Registry, NonFiniteAndHugeValuesExportValidJson) {
+  obs::Registry reg;
+  const double inf = std::numeric_limits<double>::infinity();
+  reg.gauge("sm_g", {{"v", "nan"}})->set(std::nan(""));
+  reg.gauge("sm_g", {{"v", "pinf"}})->set(inf);
+  reg.gauge("sm_g", {{"v", "ninf"}})->set(-inf);
+  reg.gauge("sm_g", {{"v", "huge"}})->set(1e20);
+  reg.gauge("sm_g", {{"v", "neg"}})->set(-3e19);
+  auto* h = reg.histogram("sm_h", 0.0, 10.0, 2);
+  h->observe(1.0);
+  h->observe(inf);  // clamps into the last bin; the sum is +inf
+
+  // JSON has no spelling for NaN or infinity: those export as null.
+  // Out-of-int64 finite values keep the %.9g exponent form.
+  const std::string json = reg.to_json();
+  const auto doc = simcheck::Json::parse(json);
+  ASSERT_TRUE(doc.has_value()) << json;
+  std::map<std::string, const simcheck::Json*> gauge;
+  const simcheck::Json* hist = nullptr;
+  for (const simcheck::Json& series : doc->get("metrics")->items()) {
+    if (series.get("name")->as_string() == "sm_h") {
+      hist = &series;
+    } else {
+      gauge[series.get("labels")->get("v")->as_string()] =
+          series.get("value");
+    }
+  }
+  ASSERT_EQ(gauge.size(), 5u);
+  EXPECT_TRUE(gauge["nan"]->is_null());
+  EXPECT_TRUE(gauge["pinf"]->is_null());
+  EXPECT_TRUE(gauge["ninf"]->is_null());
+  EXPECT_DOUBLE_EQ(gauge["huge"]->as_double(), 1e20);
+  EXPECT_DOUBLE_EQ(gauge["neg"]->as_double(), -3e19);
+  ASSERT_NE(hist, nullptr);
+  EXPECT_TRUE(hist->get("sum")->is_null());
+  EXPECT_EQ(hist->get("count")->as_int(), 2);
+  EXPECT_NE(json.find("\"value\":1e+20"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"value\":-3e+19"), std::string::npos) << json;
+
+  // Prometheus has its own spellings.
+  const std::string prom = reg.to_prometheus();
+  EXPECT_NE(prom.find("sm_g{v=\"nan\"} NaN\n"), std::string::npos) << prom;
+  EXPECT_NE(prom.find("sm_g{v=\"pinf\"} +Inf\n"), std::string::npos);
+  EXPECT_NE(prom.find("sm_g{v=\"ninf\"} -Inf\n"), std::string::npos);
+  EXPECT_NE(prom.find("sm_g{v=\"huge\"} 1e+20\n"), std::string::npos);
+  EXPECT_NE(prom.find("sm_h_sum +Inf\n"), std::string::npos);
+}
+
+TEST(Registry, HandlesStayValidAcrossGrowth) {
+  obs::Registry reg;
+  std::vector<obs::Counter*> counters;
+  std::vector<obs::Gauge*> gauges;
+  std::vector<obs::HistogramMetric*> hists;
+  for (int i = 0; i < 1000; ++i) {
+    const std::string id = std::to_string(i);
+    counters.push_back(reg.counter("sm_old_total", {{"i", id}}));
+    gauges.push_back(reg.gauge("sm_old_gauge", {{"i", id}}));
+    hists.push_back(reg.histogram("sm_old_hist", 0.0, 10.0, 4, {{"i", id}}));
+  }
+  // 10,000 more series, in families that sort before, between and after
+  // the old ones.
+  for (int i = 0; i < 10000; ++i) {
+    const std::string id = std::to_string(i);
+    const char* name = i % 3 == 0   ? "sm_a_total"
+                       : i % 3 == 1 ? "sm_old_mid_total"
+                                    : "sm_z_total";
+    reg.counter(name, {{"i", id}})->inc();
+  }
+  ASSERT_EQ(reg.series_count(), 13000u);
+  for (int i = 0; i < 1000; ++i) {
+    counters[static_cast<size_t>(i)]->inc(static_cast<uint64_t>(i) + 1);
+    gauges[static_cast<size_t>(i)]->set(i * 0.5);
+    hists[static_cast<size_t>(i)]->observe(i % 10);
+  }
+  // The handles are the registry's series: lookups return them, and the
+  // export carries what was written through them.
+  EXPECT_EQ(reg.counter("sm_old_total", {{"i", "999"}}), counters[999]);
+  EXPECT_EQ(reg.histogram("sm_old_hist", 0.0, 10.0, 4, {{"i", "7"}}),
+            hists[7]);
+  const auto doc = simcheck::Json::parse(reg.to_json());
+  ASSERT_TRUE(doc.has_value());
+  size_t checked = 0;
+  for (const simcheck::Json& series : doc->get("metrics")->items()) {
+    const std::string& name = series.get("name")->as_string();
+    const int64_t i = std::stoll(series.get("labels")->get("i")->as_string());
+    if (name == "sm_old_total") {
+      EXPECT_EQ(series.get("value")->as_int(), i + 1);
+      ++checked;
+    } else if (name == "sm_old_gauge") {
+      EXPECT_DOUBLE_EQ(series.get("value")->as_double(), i * 0.5);
+      ++checked;
+    } else if (name == "sm_old_hist") {
+      EXPECT_EQ(series.get("count")->as_int(), 1);
+      EXPECT_DOUBLE_EQ(series.get("sum")->as_double(), double(i % 10));
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 3000u);
+}
+
+TEST(Registry, EmptyOrDisabledRegistryAllocatesNothing) {
+  CountNews news;
+  { obs::Registry empty; }
+  {
+    obs::Registry disabled;
+    disabled.set_enabled(false);
+    disabled.counter("sm_x_total", {{"k", "v"}})->inc();
+    disabled.gauge("sm_y")->set(1.0);
+  }
+  EXPECT_EQ(news.calls, 0u);
+}
+
+TEST(Registry, LookingUpExistingSeriesAllocatesNothing) {
+  obs::Registry reg;
+  auto touch = [&reg] {
+    reg.counter("sm_x_total", {{"instance", "mvr"}}, "help")->inc();
+    reg.counter("sm_x_total", {{"k", "2"}, {"a", "1"}})->inc();
+    reg.gauge("sm_y", {}, "help")->set(2.5);
+    reg.histogram("sm_h", 0.0, 1.0, 4)->observe(0.5);
+  };
+  touch();
+  CountNews news;
+  touch();
+  EXPECT_EQ(news.calls, 0u);
+  // An export allocates its output buffer and nothing else.
+  const std::string json = reg.to_json();
+  EXPECT_EQ(news.calls, 1u);
+}
+
+TEST(Registry, RepeatedSnapshotIsIdempotent) {
+  core::TestbedConfig config;
+  config.enable_observability = true;
+  core::Testbed tb(config);
+  core::ScanOptions options;
+  options.target = tb.addr().web_blocked;
+  options.ports = core::top_tcp_ports(5);
+  core::ScanProbe probe(tb, options);
+  core::run_probe(tb, probe);
+  obs::Registry& first = tb.metrics_snapshot();
+  const std::string json = first.to_json();
+  const std::string prom = first.to_prometheus();
+  const size_t series = first.series_count();
+  obs::Registry& second = tb.metrics_snapshot();
+  EXPECT_EQ(&first, &second);
+  EXPECT_EQ(second.series_count(), series);
+  EXPECT_EQ(second.to_json(), json);
+  EXPECT_EQ(second.to_prometheus(), prom);
 }
 
 // --- Registry merge (campaign deterministic-merge building block) -----

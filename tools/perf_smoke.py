@@ -15,7 +15,8 @@ ratios -- plus the hard invariants (zero hop copies, the bench's own
 pass flag) and the observability price floors (the provenance pipeline
 at >= 0.6x of the untapped one; testbed build with observability and
 provenance on <= 2x with them off; a disabled testbed build+teardown
-<= one run_probe). A real regression in the new code moves the
+<= one run_probe; an observed testbed's metrics snapshot + JSON export
+<= 0.15 run_probe). A real regression in the new code moves the
 contrast; a busy machine does not.
 
 Only scales present in BOTH files are compared (smoke mode runs fewer).
@@ -30,6 +31,8 @@ import sys
 
 # bench_event_core: provenance-recording pipeline pps / untapped pps.
 PROV_REL_FLOOR = 0.6
+# bench_campaign_scaling: observed snapshot + to_json / mean run_probe.
+SNAPSHOT_REL_CEILING = 0.15
 
 
 def load(path):
@@ -135,8 +138,9 @@ def gate_campaign(gate, base, fresh):
     gate.require("deterministic", fresh.get("deterministic") is True)
     # Per-trial fixed cost, self-normalized within the fresh run: the
     # observability rings allocate on demand, so switching both layers on
-    # at most doubles the build, and with both off a testbed costs no
-    # more to build and tear down than the probe it hosts.
+    # at most doubles the build, with both off a testbed costs no more to
+    # build and tear down than the probe it hosts, and exporting an
+    # observed testbed's metrics stays a small fraction of that probe.
     cost = fresh.get("fixed_cost")
     gate.require("fixed_cost present", cost is not None)
     if cost is not None:
@@ -146,6 +150,13 @@ def gate_campaign(gate, base, fresh):
         probe = cost["run_probe_ns"]
         gate.require(f"build+teardown/run_probe {fixed / probe:.2f} <= 1.0",
                      fixed <= probe)
+        # Enabled observability has a measured price too: the observed
+        # testbed's first metrics snapshot plus its JSON export (what
+        # simcheck pays twice per scenario) within 15% of one probe.
+        export = cost["snapshot_on_ns"] + cost["metrics_json_on_ns"]
+        gate.require(f"(snapshot+metrics_json)/run_probe {export / probe:.2f}"
+                     f" <= {SNAPSHOT_REL_CEILING}",
+                     export <= SNAPSHOT_REL_CEILING * probe)
     for field in ("speedup_4x", "proc_speedup_4x"):
         if field in fresh:
             gate.require(f"{field} >= 2.0", fresh[field] >= 2.0)
