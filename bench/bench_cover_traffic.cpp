@@ -2,8 +2,8 @@
 //
 // §4.1's promise: "making it more difficult for a surveillance system to
 // implicate any individual host". We quantify it: run the stateful
-// mimicry campaign with k spoofed cover flows (k swept 0..20) plus
-// background population traffic, then ask the analyst who did it.
+// mimicry campaign with k spoofed cover flows (k swept 0..20), then ask
+// the analyst who did it.
 // Reported per k: P(attribute to the real client), attribution entropy
 // over the AS, and whether the measurement stayed accurate. Expected
 // shape: P(client) decays toward 1/(k+1) and entropy grows ~log2(k+1).
@@ -12,7 +12,6 @@
 
 #include "analysis/report.hpp"
 #include "common/stats.hpp"
-#include "core/background.hpp"
 #include "core/mimicry.hpp"
 #include "core/probe.hpp"
 #include "core/risk.hpp"

@@ -6,16 +6,17 @@
 // peer-to-peer traffic" [28]; content is kept 3 days, connection metadata
 // 30 days (campus: flow records ~36 h, alerts ~1 y).
 //
-// Part 1 drives a realistic traffic mix through the MVR tap at packet
-// level and reports the per-class volume, the discard fraction, and the
-// content-retention fraction (should sit near the configured 7.5%).
+// Part 1 drives netsim::BgTraffic's web/p2p/DNS/mail mix between the
+// testbed's neighbors through the MVR tap at packet level and reports the
+// per-class volume, the discard fraction, and the content-retention
+// fraction (should sit near the configured 7.5%).
 // Part 2 feeds the retention stores over 40 simulated days and shows
 // occupancy plateauing at each window (3 d content / 30 d metadata).
 #include <cstdio>
 
 #include "analysis/report.hpp"
-#include "core/background.hpp"
 #include "core/testbed.hpp"
+#include "netsim/bgtraffic.hpp"
 
 using namespace sm;
 
@@ -26,10 +27,15 @@ int main() {
   core::TestbedConfig config;
   config.neighbor_count = 30;
   core::Testbed tb(config);
-  core::BackgroundConfig bg_cfg;
-  bg_cfg.p2p_fraction = 0.3;  // ~30% of hosts torrenting: the MVR's cut
-  core::BackgroundTraffic bg(tb, bg_cfg);
-  bg.schedule(common::Duration::seconds(60));
+  // The neighbors are the population; every flow between two of them
+  // crosses the tapped router. The MVR's cut is the mix's p2p and
+  // bulk-mail bytes.
+  auto population = netsim::AsTopology::of_hosts(tb.neighbors);
+  netsim::BgTrafficConfig bg_cfg;
+  bg_cfg.flows_per_second = 30;
+  bg_cfg.window = common::Duration::seconds(60);
+  netsim::BgTraffic bg(tb.net, population, bg_cfg);
+  bg.start();
   tb.run_for(common::Duration::seconds(70));
 
   const auto& stats = tb.mvr->stats();

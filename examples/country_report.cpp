@@ -8,7 +8,6 @@
 #include <cstdio>
 
 #include "analysis/report.hpp"
-#include "core/background.hpp"
 #include "core/ddos.hpp"
 #include "core/mimicry.hpp"
 #include "core/overt.hpp"
@@ -16,6 +15,7 @@
 #include "core/risk.hpp"
 #include "core/scan.hpp"
 #include "core/spam.hpp"
+#include "netsim/bgtraffic.hpp"
 
 using namespace sm;
 
@@ -32,8 +32,11 @@ template <typename ProbeT, typename Options>
 Row run_in_fresh_testbed(const core::TestbedConfig& config,
                          const Options& options) {
   core::Testbed tb(config);
-  core::BackgroundTraffic bg(tb);
-  bg.schedule(common::Duration::seconds(5));
+  auto population = netsim::AsTopology::of_hosts(tb.neighbors);
+  netsim::BgTraffic bg(tb.net, population,
+                       {.flows_per_second = 30,
+                        .window = common::Duration::seconds(5)});
+  bg.start();
   ProbeT probe(tb, options);
   Row row;
   row.report = core::run_probe(tb, probe);

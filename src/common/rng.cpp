@@ -1,6 +1,5 @@
 #include "common/rng.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 namespace sm::common {
@@ -77,21 +76,6 @@ double Rng::exponential(double lambda) {
   return -std::log(u) / lambda;
 }
 
-double Rng::normal(double mean, double stddev) {
-  double u1;
-  do {
-    u1 = uniform();
-  } while (u1 <= 0.0);
-  double u2 = uniform();
-  double z = std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
-  return mean + stddev * z;
-}
-
-size_t Rng::zipf(size_t n, double s) {
-  ZipfSampler sampler(n, s);
-  return sampler.sample(*this);
-}
-
 std::string Rng::alnum_string(size_t length) {
   static constexpr char kAlphabet[] =
       "abcdefghijklmnopqrstuvwxyz0123456789";
@@ -103,22 +87,5 @@ std::string Rng::alnum_string(size_t length) {
 }
 
 Rng Rng::fork() { return Rng(next() ^ 0xA5A5A5A5A5A5A5A5ULL); }
-
-ZipfSampler::ZipfSampler(size_t n, double s) {
-  cumulative_.resize(n);
-  double total = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    total += 1.0 / std::pow(static_cast<double>(i + 1), s);
-    cumulative_[i] = total;
-  }
-  for (auto& c : cumulative_) c /= total;
-}
-
-size_t ZipfSampler::sample(Rng& rng) const {
-  double u = rng.uniform();
-  auto it = std::lower_bound(cumulative_.begin(), cumulative_.end(), u);
-  if (it == cumulative_.end()) return cumulative_.size() - 1;
-  return static_cast<size_t>(it - cumulative_.begin());
-}
 
 }  // namespace sm::common

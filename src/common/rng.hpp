@@ -45,15 +45,6 @@ class Rng {
   /// arrival processes in the traffic generators.
   double exponential(double lambda);
 
-  /// Standard normal via Box-Muller.
-  double normal(double mean = 0.0, double stddev = 1.0);
-
-  /// Zipf-distributed rank in [0, n) with exponent s. Used by the
-  /// population traffic model (site popularity is famously Zipfian).
-  /// Sampling is done by inverse CDF over precomputed weights; for
-  /// repeated draws at the same (n, s) prefer ZipfSampler below.
-  size_t zipf(size_t n, double s);
-
   /// Random alphanumeric string of the given length.
   std::string alnum_string(size_t length);
 
@@ -78,18 +69,6 @@ class Rng {
 
  private:
   uint64_t state_[4];
-};
-
-/// Precomputed Zipf(n, s) sampler: O(log n) per draw via binary search on
-/// the cumulative weight table.
-class ZipfSampler {
- public:
-  ZipfSampler(size_t n, double s);
-  size_t sample(Rng& rng) const;
-  size_t size() const { return cumulative_.size(); }
-
- private:
-  std::vector<double> cumulative_;  // normalized CDF
 };
 
 }  // namespace sm::common

@@ -49,8 +49,7 @@ Testbed::Testbed(TestbedConfig config) : config_(std::move(config)) {
     netsim::Host* h = net.add_host("neighbor" + std::to_string(i), a);
     net.connect(h, router, config_.client_link);
     neighbors.push_back(h);
-    if (config_.neighbors_have_stacks)
-      neighbor_stacks.push_back(std::make_unique<proto::tcp::Stack>(*h));
+    neighbor_stacks.push_back(std::make_unique<proto::tcp::Stack>(*h));
   }
 
   // --- Server side ---

@@ -45,9 +45,6 @@ struct TestbedConfig {
   surveillance::MvrConfig mvr;
   /// Cover hosts in the client's /24 besides the client itself.
   size_t neighbor_count = 20;
-  /// Give neighbors real TCP stacks (so unexpected segments draw RSTs —
-  /// the §4.1 replay hazard).
-  bool neighbors_have_stacks = true;
   /// Enforce source-address validation at the client-side router ports
   /// using the Beverly-calibrated model.
   bool enable_sav = false;
@@ -141,7 +138,8 @@ class Testbed {
   std::unique_ptr<proto::http::Server> measurement_http;
   std::unique_ptr<spoof::MimicryServer> mimicry_server;
 
-  // Neighbor stacks (keep unexpected-segment RST behaviour realistic).
+  // One TCP stack per neighbor, so unexpected segments draw RSTs (the
+  // §4.1 replay hazard).
   std::vector<std::unique_ptr<proto::tcp::Stack>> neighbor_stacks;
 
   const TestbedConfig& config() const { return config_; }

@@ -170,6 +170,15 @@ AsTopology AsTopology::generate(Network& net, const AsGenConfig& config) {
   return topo;
 }
 
+AsTopology AsTopology::of_hosts(std::vector<Host*> hosts) {
+  AsTopology topo;
+  AsInfo info;
+  info.host_count = hosts.size();
+  topo.hosts_ = std::move(hosts);
+  topo.ases_.push_back(std::move(info));
+  return topo;
+}
+
 size_t AsTopology::as_of_host(size_t host_index) const {
   for (const AsInfo& info : ases_) {
     if (host_index >= info.first_host &&

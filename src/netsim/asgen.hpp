@@ -65,6 +65,14 @@ class AsTopology {
   /// link; the returned AsTopology is an index over them.
   static AsTopology generate(Network& net, const AsGenConfig& config);
 
+  /// Indexes existing hosts (say, a testbed's neighbors) as one AS so
+  /// BgTraffic can draw background flows between them. That AS has no
+  /// routers or blocks, so border() is undefined on it, and config()
+  /// keeps its defaults. Only background traffic works here:
+  /// BgTraffic::launch_probe needs a server outside the prober's AS and
+  /// would loop forever looking for one.
+  static AsTopology of_hosts(std::vector<Host*> hosts);
+
   const AsGenConfig& config() const { return config_; }
   const std::vector<AsInfo>& ases() const { return ases_; }
   const std::vector<Host*>& hosts() const { return hosts_; }

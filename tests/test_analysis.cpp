@@ -1,142 +1,9 @@
 #include <gtest/gtest.h>
 
-#include "analysis/population.hpp"
 #include "analysis/report.hpp"
-#include "analysis/syria.hpp"
 
 namespace sm::analysis {
 namespace {
-
-using common::Ipv4Address;
-
-TEST(SiteCatalog, PlacesRequestedCensoredSites) {
-  common::Rng rng(1);
-  auto catalog = make_site_catalog(rng, 1000, 20, 50);
-  size_t censored = 0;
-  for (size_t i = 0; i < catalog.size(); ++i) {
-    if (catalog[i].censored) {
-      ++censored;
-      EXPECT_GE(i, 50u);  // none in the head
-    }
-  }
-  EXPECT_EQ(censored, 20u);
-}
-
-TEST(SiteCatalog, DomainsUnique) {
-  common::Rng rng(2);
-  auto catalog = make_site_catalog(rng, 100, 5);
-  std::set<std::string> names;
-  for (const auto& s : catalog) names.insert(s.domain);
-  EXPECT_EQ(names.size(), catalog.size());
-}
-
-TEST(PopulationLog, GeneratesExpectedVolume) {
-  common::Rng rng(3);
-  auto catalog = make_site_catalog(rng, 500, 10);
-  PopulationConfig cfg;
-  cfg.users = 500;
-  cfg.mean_requests_per_user = 20.0;
-  size_t count = 0;
-  size_t total = generate_population_log(
-      cfg, catalog, [&](const LogRecord&) { ++count; });
-  EXPECT_EQ(count, total);
-  // Log-normal mean calibration: within 25% of users * mean.
-  EXPECT_NEAR(static_cast<double>(total), 500 * 20.0, 500 * 20.0 * 0.25);
-}
-
-TEST(PopulationLog, Deterministic) {
-  common::Rng rng(4);
-  auto catalog = make_site_catalog(rng, 100, 5);
-  PopulationConfig cfg;
-  cfg.users = 50;
-  std::vector<uint32_t> ranks1, ranks2;
-  generate_population_log(cfg, catalog, [&](const LogRecord& r) {
-    ranks1.push_back(r.site_rank);
-  });
-  generate_population_log(cfg, catalog, [&](const LogRecord& r) {
-    ranks2.push_back(r.site_rank);
-  });
-  EXPECT_EQ(ranks1, ranks2);
-}
-
-TEST(PopulationLog, TimesWithinWindow) {
-  common::Rng rng(5);
-  auto catalog = make_site_catalog(rng, 100, 5);
-  PopulationConfig cfg;
-  cfg.users = 20;
-  cfg.window = common::Duration::days(2);
-  generate_population_log(cfg, catalog, [&](const LogRecord& r) {
-    EXPECT_GE(r.time.count(), 0);
-    EXPECT_LE(r.time.count(), common::Duration::days(2).count());
-  });
-}
-
-TEST(LogAnalyzer, CountsCensoredTouches) {
-  LogAnalyzer an;
-  LogRecord r;
-  r.user = Ipv4Address(10, 0, 0, 1);
-  r.censored_site = false;
-  an.add(r);
-  an.add(r);
-  r.censored_site = true;
-  an.add(r);
-  r.user = Ipv4Address(10, 0, 0, 2);
-  r.censored_site = false;
-  an.add(r);
-  EXPECT_EQ(an.total_requests(), 4u);
-  EXPECT_EQ(an.censored_requests(), 1u);
-  EXPECT_EQ(an.unique_users(), 2u);
-  EXPECT_EQ(an.users_touching_censored(), 1u);
-  EXPECT_DOUBLE_EQ(an.censored_user_fraction(), 0.5);
-  EXPECT_DOUBLE_EQ(an.censored_request_fraction(), 0.25);
-}
-
-TEST(LogAnalyzer, EmptySafe) {
-  LogAnalyzer an;
-  EXPECT_EQ(an.censored_user_fraction(), 0.0);
-  EXPECT_EQ(an.censored_request_fraction(), 0.0);
-}
-
-TEST(LogAnalyzer, TouchHistogram) {
-  LogAnalyzer an;
-  LogRecord r;
-  r.censored_site = true;
-  r.user = Ipv4Address(10, 0, 0, 1);
-  an.add(r);
-  r.user = Ipv4Address(10, 0, 0, 2);
-  an.add(r);
-  an.add(r);
-  auto hist = an.censored_touch_histogram();
-  EXPECT_EQ(hist[1], 1u);
-  EXPECT_EQ(hist[2], 1u);
-}
-
-TEST(LogAnalyzer, SummaryContainsFraction) {
-  LogAnalyzer an;
-  LogRecord r;
-  r.user = Ipv4Address(10, 0, 0, 1);
-  r.censored_site = true;
-  an.add(r);
-  std::string s = an.summary();
-  EXPECT_NE(s.find("users_touching_censored=1"), std::string::npos);
-}
-
-TEST(SyriaReproduction, FractionNearPaperValue) {
-  // E5 headline: with the default calibration, the fraction of users
-  // touching censored content lands in the low single-digit percents,
-  // bracketing the paper's 1.57%.
-  common::Rng rng(2015);
-  auto catalog = make_site_catalog(rng, 5000, 10, 1000);
-  PopulationConfig cfg;
-  cfg.users = 5000;
-  cfg.mean_requests_per_user = 50.0;
-  LogAnalyzer an;
-  generate_population_log(cfg, catalog,
-                          [&](const LogRecord& r) { an.add(r); });
-  double fraction = an.censored_user_fraction();
-  EXPECT_GT(fraction, 0.002);
-  EXPECT_LT(fraction, 0.08);
-}
 
 TEST(Table, MarkdownRendering) {
   Table t({"name", "value"});

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
+#include <vector>
 
 #include "netsim/asgen.hpp"
 #include "netsim/router.hpp"
@@ -152,6 +154,70 @@ TEST(BgTraffic, ProbeTrafficIsDeterministicToo) {
     return sim.bg.stats().packets_emitted;
   };
   EXPECT_EQ(run(), run());
+}
+
+TEST(BgTraffic, CensoredHostFractionBracketsTheModel) {
+  // E5's measure on a small topology: the share of a country's hosts the
+  // border MVR logs with a censored-access alert. A host originates
+  // Poisson(flows/host * web share * censored_fraction) censored flows,
+  // so at most 1 - e^-lambda of hosts can be logged; nearly every flow
+  // crosses the border, so the share lands close below that.
+  auto logged_share = [](double censored_fraction) {
+    Network net;
+    AsGenConfig topo_config = small_topo_config();
+    topo_config.as_count = 4;
+    topo_config.hosts_per_subnet = 64;  // 1,024 hosts, 256 per AS
+    AsTopology topo = AsTopology::generate(net, topo_config);
+    const AsInfo& country = topo.ases().back();
+    surveillance::MvrTap mvr;
+    topo.border(country.index)->add_tap(&mvr);
+    BgTrafficConfig traffic;
+    traffic.censored_fraction = censored_fraction;
+    traffic.window = Duration::seconds(2);
+    traffic.flows_per_second = 2.0 * double(topo.population()) / 2.0;
+    BgTraffic bg(net, topo, traffic);
+    bg.start();
+    net.run_for(Duration::seconds(3));
+    size_t logged = 0;
+    for (size_t h = country.first_host;
+         h < country.first_host + country.host_count; ++h) {
+      if (mvr.censored_access_alerts_for(topo.hosts()[h]->address()) > 0)
+        ++logged;
+    }
+    return double(logged) / double(country.host_count);
+  };
+
+  EXPECT_EQ(logged_share(0.0), 0.0);
+  const double lambda = 2.0 * 0.55 * 0.2;
+  const double bound = 1.0 - std::exp(-lambda);
+  const double share = logged_share(0.2);
+  EXPECT_GT(share, 0.5 * bound) << share;
+  EXPECT_LT(share, 1.5 * bound) << share;
+}
+
+TEST(BgTraffic, OfHostsDrawsFlowsBetweenExistingHosts) {
+  Network net;
+  Router* router = net.add_router("r");
+  std::vector<Host*> hosts;
+  for (uint8_t i = 1; i <= 6; ++i) {
+    hosts.push_back(net.add_host("h" + std::to_string(i),
+                                 Ipv4Address(10, 0, 0, i)));
+    net.connect(hosts.back(), router);
+  }
+  AsTopology population = AsTopology::of_hosts(hosts);
+  EXPECT_EQ(population.hosts(), hosts);
+  ASSERT_EQ(population.ases().size(), 1u);
+  EXPECT_EQ(population.ases()[0].host_count, hosts.size());
+  EXPECT_EQ(population.as_of_host(5), 0u);
+
+  BgTraffic bg(net, population,
+               {.flows_per_second = 200, .window = Duration::seconds(1)});
+  bg.start();
+  net.run_for(Duration::seconds(2));
+  EXPECT_GT(bg.stats().flows_started, 100u);
+  EXPECT_EQ(bg.live_flows(), 0u);
+  // Every emitted packet runs host -> router -> host.
+  EXPECT_EQ(router->counters().forwarded, bg.stats().packets_emitted);
 }
 
 }  // namespace

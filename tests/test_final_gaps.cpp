@@ -3,9 +3,9 @@
 // consistency between flow records and byte attribution.
 #include <gtest/gtest.h>
 
-#include "core/background.hpp"
 #include "core/overt.hpp"
 #include "core/probe.hpp"
+#include "netsim/bgtraffic.hpp"
 #include "netsim/topology.hpp"
 
 namespace sm::core {
@@ -82,29 +82,16 @@ TEST(Blockpage, CustomBodyIsServed) {
 TEST(Background, DeterministicAcrossRuns) {
   auto run_once = []() {
     Testbed tb;
-    BackgroundTraffic bg(tb);
-    bg.schedule(Duration::seconds(5));
+    auto population = netsim::AsTopology::of_hosts(tb.neighbors);
+    netsim::BgTraffic bg(tb.net, population,
+                         {.flows_per_second = 30,
+                          .window = Duration::seconds(5)});
+    bg.start();
     tb.run_for(Duration::seconds(6));
     return std::make_pair(tb.mvr->stats().packets_seen,
                           tb.mvr->stats().bytes_seen);
   };
   EXPECT_EQ(run_once(), run_once());
-}
-
-TEST(Background, EventCountScalesWithNeighbors) {
-  TestbedConfig small_cfg;
-  small_cfg.neighbor_count = 5;
-  Testbed small(small_cfg);
-  BackgroundTraffic bg_small(small);
-  bg_small.schedule(Duration::seconds(5));
-
-  TestbedConfig big_cfg;
-  big_cfg.neighbor_count = 25;
-  Testbed big(big_cfg);
-  BackgroundTraffic bg_big(big);
-  bg_big.schedule(Duration::seconds(5));
-
-  EXPECT_GT(bg_big.events_scheduled(), bg_small.events_scheduled());
 }
 
 TEST(FlowLedger, MatchesMvrByteAccounting) {

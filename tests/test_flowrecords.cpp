@@ -2,9 +2,9 @@
 // determinism of the whole testbed.
 #include <gtest/gtest.h>
 
-#include "core/background.hpp"
 #include "core/overt.hpp"
 #include "core/probe.hpp"
+#include "netsim/bgtraffic.hpp"
 #include "surveillance/flowrecords.hpp"
 
 namespace sm::surveillance {
@@ -102,8 +102,11 @@ namespace {
 /// Runs a fixed scenario and returns a digest of the full packet trace.
 uint64_t scenario_digest() {
   Testbed tb;
-  BackgroundTraffic bg(tb);
-  bg.schedule(common::Duration::seconds(5));
+  auto population = netsim::AsTopology::of_hosts(tb.neighbors);
+  netsim::BgTraffic bg(tb.net, population,
+                       {.flows_per_second = 30,
+                        .window = common::Duration::seconds(5)});
+  bg.start();
   OvertHttpProbe probe(tb, {.domain = "blocked.example",
                             .user_agent = "OONI-Probe/2.0"});
   run_probe(tb, probe);

@@ -4,7 +4,6 @@
 // the MVR), while the overt baseline is accurate but NOT evasive.
 #include <gtest/gtest.h>
 
-#include "core/background.hpp"
 #include "core/ddos.hpp"
 #include "core/mimicry.hpp"
 #include "core/overt.hpp"
@@ -12,6 +11,7 @@
 #include "core/risk.hpp"
 #include "core/scan.hpp"
 #include "core/spam.hpp"
+#include "netsim/bgtraffic.hpp"
 
 namespace sm::core {
 namespace {
@@ -169,10 +169,13 @@ TEST(Integration, CoverTrafficConfusesAttribution) {
       << risk.to_string();
 }
 
-TEST(Integration, BackgroundTrafficRunsAndMvrReduces) {
+TEST(Integration, BgTrafficRunsAndMvrReduces) {
   Testbed tb;
-  BackgroundTraffic bg(tb);
-  bg.schedule(common::Duration::seconds(20));
+  auto population = netsim::AsTopology::of_hosts(tb.neighbors);
+  netsim::BgTraffic bg(tb.net, population,
+                       {.flows_per_second = 30,
+                        .window = common::Duration::seconds(20)});
+  bg.start();
   tb.run_for(common::Duration::seconds(25));
   const auto& stats = tb.mvr->stats();
   EXPECT_GT(stats.packets_seen, 100u);
@@ -185,8 +188,11 @@ TEST(Integration, BackgroundTrafficRunsAndMvrReduces) {
 TEST(Integration, CensorStateStaysSmall) {
   // §2.1: censorship systems keep only flow-reassembly state.
   Testbed tb;
-  BackgroundTraffic bg(tb);
-  bg.schedule(common::Duration::seconds(10));
+  auto population = netsim::AsTopology::of_hosts(tb.neighbors);
+  netsim::BgTraffic bg(tb.net, population,
+                       {.flows_per_second = 30,
+                        .window = common::Duration::seconds(10)});
+  bg.start();
   tb.run_for(common::Duration::seconds(12));
   // Bounded by stream caps: every flow holds at most 2*16 KiB.
   size_t flows = tb.censor_tap->engine().flows().flow_count();

@@ -3,13 +3,13 @@
 // verdict coverage for blockpage censors across probes.
 #include <gtest/gtest.h>
 
-#include "core/background.hpp"
 #include "core/ddos.hpp"
 #include "core/overt.hpp"
 #include "core/probe.hpp"
 #include "core/risk.hpp"
 #include "core/scheduler.hpp"
 #include "core/synprobe.hpp"
+#include "netsim/bgtraffic.hpp"
 
 namespace sm::core {
 namespace {
@@ -76,8 +76,11 @@ TEST(MvrUnderLoad, MeasurementSignalSurvivesBackgroundNoise) {
   TestbedConfig cfg;
   cfg.neighbor_count = 30;
   Testbed tb(cfg);
-  BackgroundTraffic bg(tb);
-  bg.schedule(Duration::seconds(10));
+  auto population = netsim::AsTopology::of_hosts(tb.neighbors);
+  netsim::BgTraffic bg(tb.net, population,
+                       {.flows_per_second = 30,
+                        .window = Duration::seconds(10)});
+  bg.start();
   OvertHttpProbe probe(tb, {.domain = "open.example",
                             .user_agent = "OONI-Probe/2.0"});
   run_probe(tb, probe);
@@ -92,8 +95,11 @@ TEST(MvrUnderLoad, AnalystRanksOvertClientFirst) {
   TestbedConfig cfg;
   cfg.neighbor_count = 10;
   Testbed tb(cfg);
-  BackgroundTraffic bg(tb);
-  bg.schedule(Duration::seconds(5));
+  auto population = netsim::AsTopology::of_hosts(tb.neighbors);
+  netsim::BgTraffic bg(tb.net, population,
+                       {.flows_per_second = 30,
+                        .window = Duration::seconds(5)});
+  bg.start();
   OvertHttpProbe probe(tb, {.domain = "blocked.example",
                             .user_agent = "OONI-Probe/2.0"});
   run_probe(tb, probe);
